@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CandidateNotPositiveError
-from .functional import ProblemSpec, energy_gradient, pair_inner, pair_norm_e_sq
+from .functional import ProblemSpec, energy_gradient, pair_norm_l2
 from .grid import FieldPair, Grid, apply_laplacian, integrate
-from .potentials import PotentialSet
+from .potentials import PotentialSet, _shell_mask
 
 
 @dataclass
@@ -65,10 +65,7 @@ def _require_double_critical(spec: ProblemSpec, grid: Grid) -> None:
 
 
 def _shell_max(fp: FieldPair, grid: Grid) -> float:
-    thresh = 0.8 * grid.spec.half_width
-    mask = np.zeros(grid.shape, dtype=bool)
-    for c in grid.coords:
-        mask |= np.abs(c) >= thresh
+    mask = _shell_mask(grid)
     if not np.any(mask):
         return 0.0
     return float(max(np.max(np.abs(fp.u[mask])), np.max(np.abs(fp.v[mask]))))
@@ -111,8 +108,7 @@ def pohozaev_residual(
     lhs = integrate(u * (-apply_laplacian(u, grid)) + v * (-apply_laplacian(v, grid)), grid)
     residual = abs(lhs - rhs)
 
-    grad = energy_gradient(fp, ps, spec, grid)
-    grad_norm = float(np.sqrt(max(pair_inner(grad, grad, grid), 0.0)))
+    grad_norm = pair_norm_l2(energy_gradient(fp, ps, spec, grid), grid)
 
     return PohozaevReport(
         lhs=float(lhs),

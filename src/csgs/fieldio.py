@@ -99,7 +99,12 @@ def read_field(path: str | Path, grid: Grid | None = None) -> FieldPair:
     shape = (n,) * dim
     u = np.frombuffer(payload[: count * 8], dtype="<f8").reshape(shape).astype(float)
     v = np.frombuffer(payload[count * 8:], dtype="<f8").reshape(shape).astype(float)
-    return FieldPair(u, v, grid)
+    fp = FieldPair(u, v, grid)
+    try:
+        fp.validate_finite()
+    except ValueError as exc:
+        raise FieldFileError(f"{path}: {exc}") from None
+    return fp
 
 
 # -- CSV reports --------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteEnergyError
-from .grid import FieldPair, Grid, apply_laplacian, integrate, lp_integral
+from .grid import FieldPair, Grid, _whole_power, apply_laplacian, integrate, lp_integral
 from .potentials import PotentialSet
 
 
@@ -105,56 +105,46 @@ def _check(fp: FieldPair, ps: PotentialSet, grid: Grid) -> None:
     ps.check_grid(grid)
 
 
-def pair_invariants(fp: FieldPair, ps: PotentialSet, spec: ProblemSpec, grid: Grid) -> PairInvariants:
-    """Compute (B, 2*coupling, mu ||u||_p^p, ||v||_q^q) in one sweep."""
+def _laplacian(fp: FieldPair, i: int, grid: Grid) -> np.ndarray:
+    """Lap of fp.u (i = 0) or fp.v (i = 1): the carried one, else transformed now."""
+    return fp.lap[i] if fp.lap is not None else apply_laplacian((fp.u, fp.v)[i], grid)
+
+
+def _quadratic_parts(fp: FieldPair, ps: PotentialSet, grid: Grid) -> tuple[float, float]:
+    """(||(u,v)||_E^2, 2 * integral lambda u v) from one density sweep; the
+    identity |grad u|^2 -> u (-Lap u) keeps B consistent with the Laplacian."""
     _check(fp, ps, grid)
     u, v = fp.u, fp.v
     with np.errstate(over="ignore", invalid="ignore"):
-        quad_density = (
-            u * (-apply_laplacian(u, grid))
-            + v * (-apply_laplacian(v, grid))
-            + ps.v1 * u * u
-            + ps.v2 * v * v
+        density = (
+            u * (-_laplacian(fp, 0, grid)) + v * (-_laplacian(fp, 1, grid))
+            + ps.v1 * u * u + ps.v2 * v * v
         )
-        coupling = 2.0 * integrate(ps.lam * u * v, grid)
-        quad = integrate(quad_density, grid) - coupling
-    pnorm = lp_integral(u, spec.p, grid) if spec.mu != 0.0 else 0.0
-    qnorm = lp_integral(v, spec.q, grid)
-    return PairInvariants(quad, coupling, spec.mu * pnorm, qnorm)
+        return integrate(density, grid), 2.0 * integrate(ps.lam * u * v, grid)
+
+
+def pair_invariants(fp: FieldPair, ps: PotentialSet, spec: ProblemSpec, grid: Grid) -> PairInvariants:
+    """Compute (B, 2*coupling, mu ||u||_p^p, ||v||_q^q) in one sweep."""
+    norm_e_sq, coupling = _quadratic_parts(fp, ps, grid)
+    pnorm = lp_integral(fp.u, spec.p, grid) if spec.mu != 0.0 else 0.0
+    qnorm = lp_integral(fp.v, spec.q, grid)
+    return PairInvariants(norm_e_sq - coupling, coupling, spec.mu * pnorm, qnorm)
 
 
 def quadratic_form(fp: FieldPair, ps: PotentialSet, grid: Grid) -> float:
     """B(u, v): both weighted H^1 norms minus twice the coupling integral.
 
-    Gradient terms use the spectral identity |grad u|^2 -> u (-Lap u), so
-    the form is consistent with the Laplacian to machine precision.  For
-    validated potentials B >= (1 - delta) ||(u,v)||_E^2 holds nodewise up
+    For validated potentials B >= (1 - delta) ||(u,v)||_E^2 holds nodewise up
     to rounding, because the arithmetic-geometric mean argument survives
     nonnegative quadrature weights.
     """
-    _check(fp, ps, grid)
-    u, v = fp.u, fp.v
-    density = (
-        u * (-apply_laplacian(u, grid))
-        + v * (-apply_laplacian(v, grid))
-        + ps.v1 * u * u
-        + ps.v2 * v * v
-        - 2.0 * ps.lam * u * v
-    )
-    return integrate(density, grid)
+    norm_e_sq, coupling = _quadratic_parts(fp, ps, grid)
+    return norm_e_sq - coupling
 
 
 def pair_norm_e_sq(fp: FieldPair, ps: PotentialSet, grid: Grid) -> float:
     """||(u,v)||_E^2 without the coupling term."""
-    _check(fp, ps, grid)
-    u, v = fp.u, fp.v
-    density = (
-        u * (-apply_laplacian(u, grid))
-        + v * (-apply_laplacian(v, grid))
-        + ps.v1 * u * u
-        + ps.v2 * v * v
-    )
-    return integrate(density, grid)
+    return _quadratic_parts(fp, ps, grid)[0]
 
 
 def energy(fp: FieldPair, ps: PotentialSet, spec: ProblemSpec, grid: Grid) -> EnergyBreakdown:
@@ -171,8 +161,13 @@ def energy(fp: FieldPair, ps: PotentialSet, spec: ProblemSpec, grid: Grid) -> En
 
 
 def odd_power(f: np.ndarray, p: float) -> np.ndarray:
-    """|f|^(p-2) f with |0|^(p-2) 0 = 0; continuous at 0 since p > 2."""
+    """|f|^(p-2) f with |0|^(p-2) 0 = 0; continuous at 0 since p > 2.
+
+    Whole p is raised by multiplication (p = 4: f f f, p = 6: (f f)^2 f).
+    """
     with np.errstate(over="ignore"):
+        if float(p).is_integer() and p >= 3:
+            return f * _whole_power(np.abs(f), int(p) - 2)
         return np.sign(f) * np.abs(f) ** (p - 1.0)
 
 
@@ -184,10 +179,10 @@ def energy_gradient(fp: FieldPair, ps: PotentialSet, spec: ProblemSpec, grid: Gr
     """
     _check(fp, ps, grid)
     u, v = fp.u, fp.v
-    gu = -apply_laplacian(u, grid) + ps.v1 * u - ps.lam * v
+    gu = -_laplacian(fp, 0, grid) + ps.v1 * u - ps.lam * v
     if spec.mu != 0.0:
         gu -= spec.mu * odd_power(u, spec.p)
-    gv = -apply_laplacian(v, grid) + ps.v2 * v - odd_power(v, spec.q) - ps.lam * u
+    gv = -_laplacian(fp, 1, grid) + ps.v2 * v - odd_power(v, spec.q) - ps.lam * u
     return FieldPair(gu, gv, grid)
 
 

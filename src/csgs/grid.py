@@ -168,16 +168,26 @@ def integrate(f: np.ndarray, grid: Grid) -> float:
     return float(np.sum(f * grid.weights))
 
 
+def _whole_power(a: np.ndarray, k: int) -> np.ndarray:
+    """a**k for a whole k >= 1 by repeated squaring instead of pow."""
+    if k == 1:
+        return a
+    half = _whole_power(a * a, k // 2)
+    return half * a if k % 2 else half
+
+
 def lp_integral(f: np.ndarray, p: float, grid: Grid) -> float:
     """Quadrature of |f|^p with a summation order independent of node layout.
 
     The nonnegative addends are sorted before pairwise summation, so any
     relabeling of nodes that preserves the value multiset (in particular
     lattice translations on periodic grids) yields the bit-identical result.
+    Whole exponents are raised by multiplication, others by ``pow``.
     """
     grid.check_conforms(f)
     with np.errstate(over="ignore"):
-        vals = np.abs(f, dtype=float).ravel() ** p
+        vals = np.abs(f, dtype=float).ravel()
+        vals = _whole_power(vals, int(p)) if float(p).is_integer() and p >= 1 else vals**p
         if grid.is_periodic:
             return float(grid.spacing**grid.spec.dim * np.sum(np.sort(vals)))
         vals = vals * grid.weights.ravel()
@@ -262,11 +272,15 @@ def translate_lattice(f: np.ndarray, shift: tuple[int, ...] | np.ndarray, grid: 
 
 @dataclass
 class FieldPair:
-    """The unknown (u, v) of the coupled system, sampled on a grid."""
+    """The unknown (u, v) of the coupled system, sampled on a grid.
+
+    ``lap`` optionally carries (Lap u, Lap v) for reuse; only ``scaled`` keeps it.
+    """
 
     u: np.ndarray
     v: np.ndarray
     grid: Grid = field(repr=False)
+    lap: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.grid.check_conforms(self.u)
@@ -277,7 +291,8 @@ class FieldPair:
             raise ValueError("field pair contains non-finite values")
 
     def scaled(self, t: float) -> "FieldPair":
-        return FieldPair(t * self.u, t * self.v, self.grid)
+        lap = None if self.lap is None else (t * self.lap[0], t * self.lap[1])
+        return FieldPair(t * self.u, t * self.v, self.grid, lap)
 
     def magnitudes(self) -> "FieldPair":
         return FieldPair(np.abs(self.u), np.abs(self.v), self.grid)

@@ -108,9 +108,6 @@ class PotentialDef:
             return self.params[0] * sum(c * c for c in coords)
         return np.asarray(self.fn(coords), dtype=float)
 
-    def has_analytic_radial(self) -> bool:
-        return self.kind != "callback" or self.radial_fn is not None
-
     def radial_derivative(
         self, coords: tuple[np.ndarray, ...], spacing: float
     ) -> tuple[np.ndarray, str]:

@@ -28,8 +28,8 @@ from .functional import (
     PairInvariants,
     ProblemSpec,
     energy_gradient,
-    pair_inner,
     pair_invariants,
+    pair_norm_l2,
 )
 from .grid import (
     FieldPair,
@@ -159,15 +159,6 @@ def initial_pair(grid: Grid, opts: SolveOptions, init_field: FieldPair | None = 
     raise ValueError("init mode 'file' requires an explicit init_field")
 
 
-def _invariants_finite(inv: PairInvariants) -> bool:
-    return bool(
-        np.isfinite(inv.quad)
-        and np.isfinite(inv.coupling)
-        and np.isfinite(inv.pnorm_mu)
-        and np.isfinite(inv.qnorm)
-    )
-
-
 def _project(fp: FieldPair, inv: PairInvariants, spec: ProblemSpec):
     """Scale onto the manifold, reusing the ray scalars."""
     diag = fibering_scale_from_invariants(inv, spec)
@@ -192,7 +183,22 @@ def _smooth_direction(g_field: FieldPair, ps: PotentialSet, grid: Grid) -> Field
     def smooth(f):
         return np.fft.irfftn(np.fft.rfftn(f, axes=axes) / denom, s=grid.shape, axes=axes)
 
-    return FieldPair(smooth(g_field.u), smooth(g_field.v), grid)
+    return _with_laplacians(smooth(g_field.u), smooth(g_field.v), grid)
+
+
+def _with_laplacians(u: np.ndarray, v: np.ndarray, grid: Grid) -> FieldPair:
+    return FieldPair(u, v, grid, (apply_laplacian(u, grid), apply_laplacian(v, grid)))
+
+
+def _trial(fp: FieldPair, s: float, direction: FieldPair, ps: PotentialSet, spec: ProblemSpec):
+    # project fp - s * direction; the Laplacian is linear, so the trial
+    # point's follows from the two carried ones
+    lap = (fp.lap[0] - s * direction.lap[0], fp.lap[1] - s * direction.lap[1])
+    cand = FieldPair(fp.u - s * direction.u, fp.v - s * direction.v, fp.grid, lap)
+    inv = pair_invariants(cand, ps, spec, fp.grid)
+    if not np.all(np.isfinite([inv.quad, inv.coupling, inv.pnorm_mu, inv.qnorm])):
+        raise NonFiniteEnergyError("trial invariants overflow")
+    return _project(cand, inv, spec)
 
 
 def _recenter_shift(fp: FieldPair, grid: Grid) -> np.ndarray | None:
@@ -210,8 +216,7 @@ def _failed_report(
 ) -> SolveReport:
     inv = pair_invariants(fp, ps, spec, grid)
     e0 = inv.energy_at(1.0, spec)
-    g = energy_gradient(fp, ps, spec, grid)
-    gn = float(np.sqrt(max(pair_inner(g, g, grid), 0.0)))
+    gn = pair_norm_l2(energy_gradient(fp, ps, spec, grid), grid)
     return SolveReport(
         field=fp,
         energy=float(e0),
@@ -240,7 +245,9 @@ def minimize_ground_state(
 
     Deterministic for fixed (seed, grid, potentials, spec, options); the
     recorded energy trace is non-increasing by construction, and the
-    converged flag reports honestly whether the gradient tolerance was met.
+    converged flag reports honestly whether the gradient tolerance was met;
+    otherwise ``failure`` is "stagnated" (line search gave up) or "budget".
+    States carry their Laplacians, so an iteration transforms only the new gradient.
     """
     opts = opts or SolveOptions()
     if spec.dim != grid.spec.dim:
@@ -249,25 +256,23 @@ def minimize_ground_state(
         )
     ps.check_grid(grid)
 
-    fp0 = initial_pair(grid, opts, init_field)
+    start = initial_pair(grid, opts, init_field)
+    fp0 = _with_laplacians(start.u, start.v, grid)
     try:
         inv0 = pair_invariants(fp0, ps, spec, grid)
         fp, inv, e_cur = _project(fp0, inv0, spec)
     except _PROJECTION_ERRORS as exc:
-        return _failed_report(fp0, ps, spec, grid, f"initial projection failed: {exc}")
+        return _failed_report(start, ps, spec, grid, f"initial projection failed: {exc}")
     if not np.isfinite(e_cur):
         raise NonFiniteEnergyError("initial projected energy is not finite")
 
     grad = energy_gradient(fp, ps, spec, grid)
-    gnorm_sq = max(pair_inner(grad, grad, grid), 0.0)
-    gnorm = float(np.sqrt(gnorm_sq))
+    gnorm = pair_norm_l2(grad, grid)
     energy_trace = [float(e_cur)]
     grad_trace = [gnorm]
     recenters = 0
     iterations = 0
-    converged = False
     stagnated = False
-    failure = None
     step = opts.step0
     bb_flip = False
     can_recenter = (
@@ -279,19 +284,16 @@ def minimize_ground_state(
 
     for k in range(opts.max_iters):
         if gnorm <= opts.grad_tol:
-            converged = True
             break
 
         # backtracked step along the negative gradient, then re-project
+        grad = _with_laplacians(grad.u, grad.v, grid)
+        gnorm_sq = gnorm * gnorm
         s = step
         accepted = False
         for _ in range(60):
-            cand = FieldPair(fp.u - s * grad.u, fp.v - s * grad.v, grid)
             try:
-                inv_c = pair_invariants(cand, ps, spec, grid)
-                if not _invariants_finite(inv_c):
-                    raise NonFiniteEnergyError("trial invariants overflow")
-                cand_p, inv_p, e_new = _project(cand, inv_c, spec)
+                cand_p, inv_p, e_new = _trial(fp, s, grad, ps, spec)
             except (*_PROJECTION_ERRORS, NonFiniteEnergyError):
                 s *= opts.armijo_factor
                 continue
@@ -313,7 +315,7 @@ def minimize_ground_state(
         if can_recenter and (k + 1) % opts.recenter_every == 0:
             shift = _recenter_shift(cand_p, grid)
             if shift is not None:
-                moved = FieldPair(
+                moved = _with_laplacians(
                     translate_lattice(cand_p.u, shift, grid),
                     translate_lattice(cand_p.v, shift, grid),
                     grid,
@@ -331,7 +333,6 @@ def minimize_ground_state(
                     recenters += 1
 
         grad_new = energy_gradient(cand_p, ps, spec, grid)
-        gnorm_sq_new = max(pair_inner(grad_new, grad_new, grid), 0.0)
 
         if recentered:
             step = opts.step0
@@ -354,8 +355,7 @@ def minimize_ground_state(
                 step = min(s * 2.0, opts.step0)
 
         fp, inv, e_cur = cand_p, inv_p, e_new
-        grad, gnorm_sq = grad_new, gnorm_sq_new
-        gnorm = float(np.sqrt(gnorm_sq))
+        grad, gnorm = grad_new, pair_norm_l2(grad_new, grid)
         energy_trace.append(float(e_cur))
         grad_trace.append(gnorm)
 
@@ -371,35 +371,28 @@ def minimize_ground_state(
             s = 1.0
             improved = False
             for _ in range(8):
-                cand = FieldPair(fp.u - s * direction.u, fp.v - s * direction.v, grid)
                 try:
-                    inv_c = pair_invariants(cand, ps, spec, grid)
-                    if not _invariants_finite(inv_c):
-                        raise NonFiniteEnergyError
-                    cand_p, inv_p, e_new = _project(cand, inv_c, spec)
+                    cand_p, inv_p, e_new = _trial(fp, s, direction, ps, spec)
                 except (*_PROJECTION_ERRORS, NonFiniteEnergyError):
                     s *= 0.5
                     continue
                 grad_new = energy_gradient(cand_p, ps, spec, grid)
-                gn_sq_new = max(pair_inner(grad_new, grad_new, grid), 0.0)
-                if np.isfinite(e_new) and e_new <= e_cur + noise_band and gn_sq_new < gnorm_sq:
+                gn_new = pair_norm_l2(grad_new, grid)
+                if np.isfinite(e_new) and e_new <= e_cur + noise_band and gn_new < gnorm:
                     improved = True
                     break
                 s *= 0.5
             if not improved:
                 break
             fp, inv, e_cur = cand_p, inv_p, e_new
-            grad, gnorm_sq = grad_new, gn_sq_new
-            gnorm = float(np.sqrt(gnorm_sq))
+            grad, gnorm = grad_new, gn_new
             if e_cur <= energy_trace[-1]:
                 energy_trace.append(float(e_cur))
                 grad_trace.append(gnorm)
 
-    if opts.max_iters > 0 and gnorm <= opts.grad_tol:
-        converged = True
-
+    converged = opts.max_iters > 0 and gnorm <= opts.grad_tol
     return SolveReport(
-        field=fp,
+        field=FieldPair(fp.u, fp.v, grid),
         energy=float(e_cur),
         grad_norm=gnorm,
         iterations=iterations,
@@ -411,7 +404,7 @@ def minimize_ground_state(
         potential_hash=hash_potentials(ps),
         grid_hash=hash_grid(grid),
         field_norm_e_sq=float(inv.norm_e_sq),
-        failure=failure,
+        failure=None if converged else "stagnated" if stagnated else "budget",
     )
 
 
@@ -442,8 +435,7 @@ def nonneg_refine(
     final = polished.field.magnitudes()
     inv_f = pair_invariants(final, ps, spec, grid)
     final_p, inv_fp, e_final = _project(final, inv_f, spec)
-    grad = energy_gradient(final_p, ps, spec, grid)
-    gn = float(np.sqrt(max(pair_inner(grad, grad, grid), 0.0)))
+    gn = pair_norm_l2(energy_gradient(final_p, ps, spec, grid), grid)
 
     return SolveReport(
         field=final_p,

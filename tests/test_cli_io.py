@@ -175,6 +175,14 @@ class TestFieldFile:
         with pytest.raises(FieldFileError, match=r"payload short: expected 2\*n\^d\*8"):
             read_field(path)
 
+    def test_non_finite_payload_rejected(self, tmp_path, grid_1d):
+        fp = random_pair(grid_1d)
+        fp.u[5] = np.nan
+        path = tmp_path / "f.csgs"
+        write_field(fp, path)
+        with pytest.raises(FieldFileError, match="non-finite"):
+            read_field(path)
+
     def test_unsupported_version(self, tmp_path, grid_1d):
         path = tmp_path / "f.csgs"
         write_field(random_pair(grid_1d), path)
@@ -226,6 +234,17 @@ class TestCli:
         assert code == 3
         rows = read_csv_rows(tmp_path / "out" / "solve_trace.csv")
         assert len(rows) == 1  # header plus the initial projected state
+
+    def test_solve_from_non_finite_file_exit1(self, tmp_path, grid_1d, capsys):
+        fp = random_pair(grid_1d)
+        fp.v[3] = np.inf
+        field = tmp_path / "start.csgs"
+        write_field(fp, field)
+        text = BASE_CFG.replace("grad_tol = 1e-6", f"grad_tol = 1e-6\ninit = file\ninit_file = {field}")
+        cfg = self._write(tmp_path, text)
+        code = run_cli(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
 
     def test_sweep_without_list_exit1(self, tmp_path, capsys):
         cfg = self._write(tmp_path, BASE_CFG)

@@ -18,7 +18,7 @@ from csgs import (
     validate_assumptions,
 )
 from csgs.errors import NonFiniteEnergyError
-from csgs.functional import pair_inner, pair_norm_e_sq
+from csgs.functional import odd_power, pair_inner, pair_norm_e_sq
 from csgs.grid import apply_laplacian
 from csgs.nehari import nehari_project
 
@@ -184,6 +184,24 @@ class TestGradient:
             minus = energy(FieldPair(fp.u - eps * d.u, fp.v - eps * d.v, g), ps, spec, g).total
             fd = (plus - minus) / (2.0 * eps)
             assert abs(fd - pairing) <= 1e-6 * max(1.0, abs(pairing))
+
+
+class TestOddPower:
+    """Whole exponents are raised by multiplication, others by pow."""
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 5.0, 6.0])
+    def test_whole_exponents_match_pow(self, grid_1d, p):
+        f = random_pair(grid_1d, 14).u
+        f[0] = 0.0
+        generic = np.sign(f) * np.abs(f) ** (p - 1.0)
+        fast = odd_power(f, p)
+        assert fast[0] == 0.0
+        assert np.all(np.abs(fast - generic) <= 1e-15 * np.abs(generic))
+
+    @pytest.mark.parametrize("p", [2.5, 4.5])
+    def test_fractional_exponents_use_pow(self, grid_1d, p):
+        f = random_pair(grid_1d, 15).u
+        assert np.array_equal(odd_power(f, p), np.sign(f) * np.abs(f) ** (p - 1.0))
 
 
 class TestNehariValue:

@@ -135,7 +135,7 @@ class TestTranslate:
         out = translate_lattice(translate_lattice(f, (1, -3), grid_2d), (-1, 3), grid_2d)
         assert np.array_equal(out, f)
 
-    @pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.5, 6.0])
     def test_norms_bit_exact(self, grid_1d, p):
         f = random_pair(grid_1d, 3).u
         shifted = translate_lattice(f, (2,), grid_1d)
@@ -171,3 +171,32 @@ class TestFieldPair:
         fp = random_pair(grid_1d)
         assert np.array_equal(fp.scaled(2.0).u, 2.0 * fp.u)
         assert np.all(fp.magnitudes().v >= 0)
+
+    def test_only_scaling_carries_laplacians(self, grid_1d):
+        fp = random_pair(grid_1d)
+        lap = (apply_laplacian(fp.u, grid_1d), apply_laplacian(fp.v, grid_1d))
+        carried = FieldPair(fp.u, fp.v, grid_1d, lap)
+        scaled = carried.scaled(-3.0)
+        assert np.array_equal(scaled.lap[0], -3.0 * lap[0])
+        assert np.array_equal(scaled.lap[1], -3.0 * lap[1])
+        assert carried.magnitudes().lap is None
+        assert carried.copy().lap is None
+        assert fp.scaled(2.0).lap is None
+
+
+class TestWholeExponents:
+    """lp_integral raises whole exponents by multiplication, others by pow."""
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 5.0, 6.0])
+    @pytest.mark.parametrize("boundary,mode", [("periodic", "spectral"), ("dirichlet", "fd2")])
+    def test_lp_integral_matches_pow(self, p, boundary, mode):
+        g = build_grid(GridSpec(1, 4.0, 64, boundary, mode))
+        f = random_pair(g, 12).u
+        generic = np.sum(np.sort(np.abs(f).ravel() ** p * g.weights.ravel()))
+        assert lp_integral(f, p, g) == pytest.approx(generic, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("p", [2.5, 4.5])
+    def test_fractional_lp_integral_uses_pow(self, grid_1d, p):
+        f = random_pair(grid_1d, 13).u
+        generic = grid_1d.spacing * np.sum(np.sort(np.abs(f).ravel() ** p))
+        assert lp_integral(f, p, grid_1d) == generic

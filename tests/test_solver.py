@@ -10,6 +10,7 @@ from csgs import (
     aubin_talenti_bubble,
     build_grid,
     compare_energies,
+    energy,
     estimate_sobolev_constant,
     minimize_ground_state,
     nehari_value,
@@ -22,6 +23,7 @@ from csgs import (
     validate_assumptions,
 )
 from csgs.errors import GridMismatchError
+from csgs.grid import apply_laplacian
 from csgs.solver import hash_grid, hash_potentials, hash_spec
 
 CONST = PotentialDef.constant
@@ -41,7 +43,7 @@ class TestMinimize:
     def test_converges_with_positive_energy(self, setup_1d):
         g, ps, spec = setup_1d
         rep = minimize_ground_state(ps, spec, g, QUICK)
-        assert rep.converged
+        assert rep.converged and rep.failure is None
         assert rep.grad_norm <= QUICK.grad_tol
         assert rep.energy > 0
         assert rep.iterations > 0
@@ -81,6 +83,17 @@ class TestMinimize:
         assert rep.iterations == 0
         assert len(rep.energy_trace) == 1
         assert abs(nehari_value(rep.field, ps, spec, g)) <= 1e-8
+        assert rep.failure == "budget"
+
+    def test_stalled_line_search_reports_stagnated(self):
+        g = build_grid(GridSpec(1, 4.0, 128, "periodic", "fd2"))
+        ps = sample_potentials((CONST(1.0), CONST(1.0), CONST(0.3)), 0.3, g)
+        validate_assumptions(ps, "periodic")
+        spec = ProblemSpec(1, 4.0, 4.0, 1.0)
+        rep = minimize_ground_state(ps, spec, g, SolveOptions(grad_tol=1e-13))
+        assert not rep.converged
+        assert rep.iterations < SolveOptions().max_iters
+        assert rep.failure == "stagnated"
 
     def test_degenerate_init_reports_failure(self, setup_1d):
         g, ps, _ = setup_1d
@@ -89,6 +102,7 @@ class TestMinimize:
         rep = minimize_ground_state(ps, spec0, g, QUICK, init_field=u_only)
         assert not rep.converged
         assert rep.failure is not None and "projection" in rep.failure
+        assert rep.field.lap is None
 
     def test_dim_mismatch_rejected(self, setup_1d):
         g, ps, _ = setup_1d
@@ -103,6 +117,50 @@ class TestMinimize:
             assert r.converged
             energies.append(r.energy)
         assert max(energies) - min(energies) <= 1e-8
+
+
+class TestCarriedLaplacians:
+    """States carry their Laplacians through the descent; no drift shows."""
+
+    @pytest.mark.parametrize(
+        "gspec,spec,opts",
+        [
+            (GridSpec(3, 4.0, 16), ProblemSpec(3, 4.0, 6.0, 1.0), QUICK),
+            (GridSpec(1, 4.0, 64, "periodic", "fd2"), ProblemSpec(1, 4.0, 4.0, 1.0), QUICK),
+            # Dirichlet solves stop short of grad_tol; the energy must still agree
+            (GridSpec(1, 4.0, 64, "dirichlet", "fd2"), ProblemSpec(1, 4.0, 4.0, 1.0),
+             SolveOptions(max_iters=300)),
+        ],
+        ids=["spectral-3d", "fd2-periodic", "fd2-dirichlet"],
+    )
+    def test_reported_energy_matches_fresh_evaluation(self, gspec, spec, opts):
+        g = build_grid(gspec)
+        ps = sample_potentials((CONST(1.0), CONST(1.0), CONST(0.3)), 0.3, g)
+        if g.is_periodic:
+            validate_assumptions(ps, "periodic")
+        rep = minimize_ground_state(ps, spec, g, opts)
+        assert rep.iterations > 20  # many carried updates, not a fresh start
+        assert rep.field.lap is None
+        fresh = energy(rep.field, ps, spec, g).total
+        assert abs(fresh - rep.energy) <= 1e-12 * abs(rep.energy)
+
+    def test_two_laplacians_per_iteration(self, setup_1d, monkeypatch):
+        import csgs.functional
+        import csgs.solver
+
+        g, ps, spec = setup_1d
+        calls = []
+
+        def counted(f, grid):
+            calls.append(1)
+            return apply_laplacian(f, grid)
+
+        monkeypatch.setattr(csgs.solver, "apply_laplacian", counted)
+        monkeypatch.setattr(csgs.functional, "apply_laplacian", counted)
+        rep = minimize_ground_state(ps, spec, g, SolveOptions(recenter_every=0))
+        assert rep.converged
+        # two for the start, then the new gradient's two per iteration
+        assert len(calls) == 2 + 2 * rep.iterations
 
 
 class TestDecoupledOracle:
