@@ -225,6 +225,20 @@ def apply_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     return out / h2
 
 
+def shifted_inverse(f: np.ndarray, shift: float, grid: Grid) -> np.ndarray:
+    """(shift - Lap)^-1 f by division by shift + |k|^2 in Fourier space.
+
+    Uses the spectral symbol on either Laplacian mode, so on fd2 grids it is
+    an approximate inverse (a preconditioner), exact only in spectral mode.
+    """
+    grid.check_conforms(f)
+    if not grid.is_periodic:
+        raise GridMismatchError("the Fourier-diagonal inverse requires a periodic grid")
+    axes = tuple(range(grid.spec.dim))
+    fh = np.fft.rfftn(f, axes=axes)
+    return np.fft.irfftn(fh / (shift - grid._lap_multiplier), s=grid.shape, axes=axes)
+
+
 def spectral_partials(f: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
     """All first partial derivatives of f by Fourier differentiation."""
     grid.check_conforms(f)

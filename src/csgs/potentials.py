@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConvergenceError, GridMismatchError
-from .grid import Grid, apply_laplacian, integrate
+from .grid import Grid, apply_laplacian, integrate, shifted_inverse
 
 KINDS = ("constant", "cosine-lattice", "gaussian", "radial-quadratic", "callback")
 
@@ -441,13 +441,10 @@ def _smallest_eig(v: np.ndarray, grid: Grid, tol: float, max_iters: int) -> floa
 
     precond = None
     if grid.spec.laplacian_mode == "spectral":
-        diag = -grid._lap_multiplier + float(np.mean(v)) + shift
-
-        axes = tuple(range(grid.spec.dim))
+        diag_shift = float(np.mean(v)) + shift
 
         def psolve(x):
-            xh = np.fft.rfftn(x.reshape(grid.shape), axes=axes)
-            return np.fft.irfftn(xh / diag, s=grid.shape, axes=axes).ravel()
+            return shifted_inverse(x.reshape(grid.shape), diag_shift, grid).ravel()
 
         precond = LinearOperator((n, n), matvec=psolve, dtype=float)
 

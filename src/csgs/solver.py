@@ -3,7 +3,10 @@
 The minimizer runs projected gradient descent: project the current pair
 onto the manifold, step against the full energy gradient with a
 Barzilai-Borwein trial step and Armijo backtracking, re-project, accept
-only on sufficient decrease.  On periodic grids with lattice-periodic
+on sufficient decrease.  Once the model decrease falls below the rounding
+floor of the energy, the same line search accepts a step within rounding
+noise of the lowest recorded energy if it lowers the gradient norm, so one
+loop runs the solve to tolerance.  On periodic grids with lattice-periodic
 potentials the iterate is periodically recentered by the integer lattice
 shift that moves its densest node nearest the origin, the discrete stand-in
 for recovering compactness by translations.
@@ -36,6 +39,7 @@ from .grid import (
     Grid,
     apply_laplacian,
     integrate,
+    shifted_inverse,
     spectral_partials,
     translate_lattice,
 )
@@ -45,6 +49,7 @@ from .potentials import PotentialSet
 INIT_MODES = ("gaussian-bump", "random", "file")
 
 _PROJECTION_ERRORS = (ZeroFieldError, DegenerateNonlinearityError, NonpositiveQuadraticFormError)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,6 @@ class SolveReport:
     potential_hash: str
     grid_hash: str
     field_norm_e_sq: float
-    threads: int = 1
     failure: str | None = None
 
 
@@ -172,20 +176,6 @@ def _project(fp: FieldPair, inv: PairInvariants, spec: ProblemSpec):
     return fp.scaled(t), inv_t, diag.g_at_t
 
 
-def _smooth_direction(g_field: FieldPair, ps: PotentialSet, grid: Grid) -> FieldPair:
-    # approximate inverse of the quadratic operator, diagonal in Fourier
-    # space; used only to finish off stiff gradient modes once energy
-    # differences reach the rounding floor
-    shift = 1.0 + 0.5 * float(np.mean(ps.v1) + np.mean(ps.v2))
-    denom = shift - grid._lap_multiplier
-    axes = tuple(range(grid.spec.dim))
-
-    def smooth(f):
-        return np.fft.irfftn(np.fft.rfftn(f, axes=axes) / denom, s=grid.shape, axes=axes)
-
-    return _with_laplacians(smooth(g_field.u), smooth(g_field.v), grid)
-
-
 def _with_laplacians(u: np.ndarray, v: np.ndarray, grid: Grid) -> FieldPair:
     return FieldPair(u, v, grid, (apply_laplacian(u, grid), apply_laplacian(v, grid)))
 
@@ -243,11 +233,15 @@ def minimize_ground_state(
 ) -> SolveReport:
     """Minimize the energy over the discrete Nehari manifold.
 
-    Deterministic for fixed (seed, grid, potentials, spec, options); the
-    recorded energy trace is non-increasing by construction, and the
-    converged flag reports honestly whether the gradient tolerance was met;
-    otherwise ``failure`` is "stagnated" (line search gave up) or "budget".
-    States carry their Laplacians, so an iteration transforms only the new gradient.
+    Deterministic for fixed (seed, grid, potentials, spec, options).  The
+    recorded energy trace is non-increasing: a rounding-floor step (accepted
+    for lowering the gradient norm within ``32 eps max(|E|, 1)`` of the
+    lowest recorded energy) counts as an iteration but is traced only if it
+    does not rise, and the returned energy is within that band of the
+    trace's minimum.  The converged flag reports honestly whether the
+    gradient tolerance was met; otherwise ``failure`` is "stagnated" (line
+    search gave up) or "budget".  States carry their Laplacians, so an
+    iteration transforms only the new gradient.
     """
     opts = opts or SolveOptions()
     if spec.dim != grid.spec.dim:
@@ -289,24 +283,33 @@ def minimize_ground_state(
         # backtracked step along the negative gradient, then re-project
         grad = _with_laplacians(grad.u, grad.v, grid)
         gnorm_sq = gnorm * gnorm
+        e_scale = max(abs(e_cur), 1.0)
         s = step
-        accepted = False
+        grad_new = None
         for _ in range(60):
             try:
                 cand_p, inv_p, e_new = _trial(fp, s, grad, ps, spec)
+                if not np.isfinite(e_new):
+                    raise NonFiniteEnergyError("trial energy is not finite")
             except (*_PROJECTION_ERRORS, NonFiniteEnergyError):
                 s *= opts.armijo_factor
                 continue
-            if np.isfinite(e_new) and (
-                e_new <= e_cur - opts.armijo_decrease * s * gnorm_sq
-                # at the rounding floor the model decrease is below one ulp
-                # of the energy; accept any non-increase there
-                or (e_new <= e_cur and s * gnorm_sq <= 1e-13 * max(abs(e_cur), 1.0))
+            # at the rounding floor the model decrease is below one ulp of
+            # the energy, so energy differences are noise: accept a
+            # non-increase, or an energy within rounding noise of the lowest
+            # recorded one whose gradient norm is lower
+            at_floor = s * gnorm_sq <= 1e-13 * e_scale
+            if e_new <= e_cur - opts.armijo_decrease * s * gnorm_sq or (
+                at_floor and e_new <= e_cur
             ):
-                accepted = True
                 break
+            if at_floor and e_new <= energy_trace[-1] + 32.0 * _EPS * e_scale:
+                grad_trial = energy_gradient(cand_p, ps, spec, grid)
+                if pair_norm_l2(grad_trial, grid) < gnorm:
+                    grad_new = grad_trial
+                    break
             s *= opts.armijo_factor
-        if not accepted:
+        else:  # no trial accepted
             stagnated = True
             break
         iterations = k + 1
@@ -332,7 +335,8 @@ def minimize_ground_state(
                     recentered = True
                     recenters += 1
 
-        grad_new = energy_gradient(cand_p, ps, spec, grid)
+        if recentered or grad_new is None:
+            grad_new = energy_gradient(cand_p, ps, spec, grid)
 
         if recentered:
             step = opts.step0
@@ -356,39 +360,11 @@ def minimize_ground_state(
 
         fp, inv, e_cur = cand_p, inv_p, e_new
         grad, gnorm = grad_new, pair_norm_l2(grad_new, grid)
-        energy_trace.append(float(e_cur))
-        grad_trace.append(gnorm)
-
-    if stagnated and gnorm > opts.grad_tol and grid.spec.laplacian_mode == "spectral":
-        # backtracking died at the rounding floor of the energy; finish the
-        # remaining stiff gradient modes with preconditioned steps, driven
-        # by gradient decrease since energy differences there are sub-ulp
-        noise_band = 32.0 * np.finfo(float).eps * max(abs(e_cur), 1.0)
-        for _ in range(40):
-            if gnorm <= opts.grad_tol:
-                break
-            direction = _smooth_direction(grad, ps, grid)
-            s = 1.0
-            improved = False
-            for _ in range(8):
-                try:
-                    cand_p, inv_p, e_new = _trial(fp, s, direction, ps, spec)
-                except (*_PROJECTION_ERRORS, NonFiniteEnergyError):
-                    s *= 0.5
-                    continue
-                grad_new = energy_gradient(cand_p, ps, spec, grid)
-                gn_new = pair_norm_l2(grad_new, grid)
-                if np.isfinite(e_new) and e_new <= e_cur + noise_band and gn_new < gnorm:
-                    improved = True
-                    break
-                s *= 0.5
-            if not improved:
-                break
-            fp, inv, e_cur = cand_p, inv_p, e_new
-            grad, gnorm = grad_new, gn_new
-            if e_cur <= energy_trace[-1]:
-                energy_trace.append(float(e_cur))
-                grad_trace.append(gnorm)
+        # a floor step may sit a few ulps above the lowest energy; the
+        # trace records only non-increases
+        if e_cur <= energy_trace[-1]:
+            energy_trace.append(float(e_cur))
+            grad_trace.append(gnorm)
 
     converged = opts.max_iters > 0 and gnorm <= opts.grad_tol
     return SolveReport(
@@ -517,8 +493,6 @@ def estimate_sobolev_constant(
     den6 = integrate(u**6, grid)
     quot = num / den6 ** (1.0 / 3.0)
 
-    precond = 1.0 - grid._lap_multiplier  # 1 + |k|^2
-    axes = tuple(range(grid.spec.dim))
     step = 1.0
 
     def clip_to_ball(f):
@@ -550,9 +524,7 @@ def estimate_sobolev_constant(
         projected = raw
         for b in basis:
             projected = projected - integrate(projected * b, grid) * b
-        direction = np.fft.irfftn(
-            np.fft.rfftn(projected, axes=axes) / precond, s=grid.shape, axes=axes
-        )
+        direction = shifted_inverse(projected, 1.0, grid)  # (1 - Lap)^-1
         for b in basis:
             direction = direction - integrate(direction * b, grid) * b
 

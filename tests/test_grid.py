@@ -5,7 +5,7 @@ import pytest
 
 from csgs import FieldPair, GridSpec, apply_laplacian, build_grid, integrate, lp_integral, translate_lattice
 from csgs.errors import GridMismatchError
-from csgs.grid import spectral_partials
+from csgs.grid import shifted_inverse, spectral_partials
 
 from conftest import random_pair
 
@@ -111,6 +111,17 @@ class TestLaplacian:
         # ghost zeros outside the box make boundary rows feel the wall
         assert lap[0] != 0.0
         assert np.all(lap[1:-1] == 0.0)
+
+    def test_shifted_inverse_undoes_shift_minus_laplacian(self, grid_3d_small):
+        f = random_pair(grid_3d_small, 3).u
+        x = shifted_inverse(f, 2.5, grid_3d_small)
+        back = 2.5 * x - apply_laplacian(x, grid_3d_small)
+        assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
+
+    def test_shifted_inverse_requires_periodic(self):
+        g = build_grid(GridSpec(1, 1.0, 16, "dirichlet", "fd2"))
+        with pytest.raises(GridMismatchError):
+            shifted_inverse(np.ones(g.shape), 1.0, g)
 
     def test_spectral_partials_eigenfunction(self, grid_1d_unit):
         x = grid_1d_unit.axis_coords

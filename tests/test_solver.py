@@ -339,6 +339,28 @@ class TestCompare:
             compare_energies(r_per, other)
 
 
+class TestRoundingFloor:
+    """One descent loop: at the rounding floor of the energy the line search
+    also accepts a step within rounding noise of the lowest recorded energy
+    when it lowers the gradient norm."""
+
+    def test_fd2_solve_converges_past_the_floor(self):
+        g = build_grid(GridSpec(1, 4.0, 128, "periodic", "fd2"))
+        ps = sample_potentials((CONST(1.0), CONST(1.0), CONST(0.3)), 0.3, g)
+        validate_assumptions(ps, "periodic")
+        spec = ProblemSpec(1, 4.0, 4.0, 1.0)
+        rep = minimize_ground_state(ps, spec, g, SolveOptions(grad_tol=1e-12))
+        assert rep.converged and rep.failure is None
+        assert rep.grad_norm <= 1e-12
+
+    def test_floor_steps_keep_the_trace_monotone(self, pair_reports):
+        eps = np.finfo(float).eps
+        for rep in pair_reports:
+            trace = rep.energy_trace
+            assert all(b <= a for a, b in zip(trace, trace[1:]))
+            assert rep.energy <= min(trace) + 32.0 * eps * max(abs(rep.energy), 1.0)
+
+
 class TestNeutrality:
     def test_translation_and_sign(self, setup_1d):
         g, ps, spec = setup_1d
