@@ -17,12 +17,13 @@ import numpy as np
 from .config import RunConfig, parse_config
 from .diagnostics import nonexistence_certificate, pohozaev_residual
 from .errors import ConfigError, ConvergenceError, CsgsError, FieldFileError
-from .fieldio import fmt_float, read_field, write_field, write_report_csv, _write_rows
+from .fieldio import fmt_float, read_field, write_field, write_report_csv, write_rows
 from .grid import FieldPair, Grid, build_grid
 from .potentials import ValidationReport, sample_potentials, validate_assumptions
 from .solver import (
     SolveReport,
     aubin_talenti_bubble,
+    compactness_threshold,
     compare_energies,
     estimate_sobolev_constant,
     minimize_ground_state,
@@ -192,15 +193,14 @@ def _cmd_pohozaev(cfg: RunConfig, grid: Grid, out: Path) -> int:
 def _cmd_sobolev(cfg: RunConfig, grid: Grid, out: Path) -> int:
     estimate = estimate_sobolev_constant(grid)
     bubble_q = sobolev_quotient(aubin_talenti_bubble(grid), grid)
-    d = grid.spec.dim
-    threshold = estimate ** (d / 2.0) / d
+    threshold = compactness_threshold(estimate, grid.spec.dim)
     rows = [
-        ["quantity", "value"],
-        ["sobolev_constant", fmt_float(estimate)],
-        ["bubble_quotient", fmt_float(bubble_q)],
-        ["energy_threshold", fmt_float(threshold)],
+        ("quantity", "value"),
+        ("sobolev_constant", estimate),
+        ("bubble_quotient", bubble_q),
+        ("energy_threshold", threshold),
     ]
-    _write_rows(out / "sobolev.csv", rows)
+    write_rows(out / "sobolev.csv", rows)
     print(
         f"sobolev: estimate={fmt_float(estimate)} bubble_quotient={fmt_float(bubble_q)} "
         f"threshold={fmt_float(threshold)}"

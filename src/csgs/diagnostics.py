@@ -39,6 +39,15 @@ class PohozaevReport:
     boundary_shell_max: float     # max |field| on the outer shell |x|_inf >= 0.8 L
     radial_paths: tuple[str, str, str]
 
+    def rows(self) -> list[tuple]:
+        """CSV rows: one (quantity, value) pair per line, the terms in order."""
+        return [
+            ("quantity", "value"),
+            *((k, getattr(self, k)) for k in ("lhs", "rhs", "residual", "relative")),
+            *((f"term:{k}", v) for k, v in self.terms.items()),
+            *((k, getattr(self, k)) for k in ("grad_norm", "near_critical", "boundary_shell_max")),
+        ]
+
 
 @dataclass
 class NonexistenceReport:
@@ -53,6 +62,12 @@ class NonexistenceReport:
     strict_gap: float             # q_value - q_delta = (2/delta - 2) int lambda u v
     lambda_sign: str              # positive / negative / mixed / zero
     scale: float
+
+    def rows(self) -> list[tuple]:
+        """CSV rows: one (quantity, value) pair per field but the scale."""
+        names = ("q_value", "q_nonneg_ok", "pohozaev_side", "margin",
+                 "q_amgm", "q_delta", "strict_gap", "lambda_sign")
+        return [("quantity", "value"), *((k, getattr(self, k)) for k in names)]
 
 
 def _require_double_critical(spec: ProblemSpec, grid: Grid) -> None:

@@ -1,10 +1,14 @@
-"""Binary field persistence and CSV report writers.
+"""Binary field persistence and CSV report writing.
 
 Field files carry the magic "CSGS", a little-endian header (version, dim,
 nodes per axis, half-width, boundary byte) and the raw float64 payloads of
 u then v in row-major order, so a write/read round trip is bit-exact.
-CSV floats are printed with 17 significant digits, which guarantees the
-parsed double equals the in-memory one.
+
+Each report chooses its own rows (``rows()``: a header tuple, then tuples of
+raw values); this module only decides how a value becomes a cell.  Floats
+are printed with 17 significant digits, which guarantees the parsed double
+equals the in-memory one; booleans as true/false; a missing value as an
+empty cell; commas inside text as ';'.
 """
 
 from __future__ import annotations
@@ -17,17 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import NonexistenceReport, PohozaevReport
 from .errors import FieldFileError
 from .grid import FieldPair, Grid, GridSpec, build_grid
-from .potentials import ValidationReport
-from .solver import ComparisonReport, MuSweep, SolveReport
 
 MAGIC = b"CSGS"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIIdB")
 _BOUNDARY_CODE = {"periodic": 0, "dirichlet": 1}
 _BOUNDARY_NAME = {v: k for k, v in _BOUNDARY_CODE.items()}
+_BOOLS = (bool, np.bool_)
 
 
 def fmt_float(x: float) -> str:
@@ -110,101 +112,32 @@ def read_field(path: str | Path, grid: Grid | None = None) -> FieldPair:
 # -- CSV reports --------------------------------------------------------------
 
 
-def _write_rows(path: str | Path, rows: list[list[str]]) -> None:
-    buf = []
-    for row in rows:
-        buf.append(",".join(row))
-    _atomic_write(path, ("\n".join(buf) + "\n").encode("utf-8"))
+def _cell(x: object) -> str:
+    """How one raw value is written; reports choose the values, not their text."""
+    if isinstance(x, float):  # the common case first: np.float64 is a float too
+        return fmt_float(x)
+    if x is None:
+        return ""
+    if isinstance(x, _BOOLS):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, tuple):
+        return " ".join(_cell(y) for y in x)
+    if isinstance(x, str):
+        return x.replace(",", ";")
+    return fmt_float(x)
 
 
-def _solve_rows(report: SolveReport) -> list[list[str]]:
-    rows = [["iter", "energy", "grad_norm"]]
-    for i, (e, gn) in enumerate(zip(report.energy_trace, report.grad_trace)):
-        rows.append([str(i), fmt_float(e), fmt_float(gn)])
-    return rows
-
-
-def _sweep_rows(sweep: MuSweep) -> list[list[str]]:
-    rows = [["mu", "c", "threshold", "below_threshold"]]
-    for mu, c, ok in zip(sweep.mu_values, sweep.energies, sweep.converged):
-        if sweep.threshold is None:
-            thr, below = "", ""
-        else:
-            thr = fmt_float(sweep.threshold)
-            below = str(bool(ok and np.isfinite(c) and c < sweep.threshold)).lower()
-        rows.append([fmt_float(mu), fmt_float(c), thr, below])
-    return rows
-
-
-def _validation_rows(report: ValidationReport) -> list[list[str]]:
-    rows = [["assumption", "passed", "worst_value", "worst_node", "note"]]
-    for c in report.checks:
-        node = "" if c.worst_node is None else " ".join(fmt_float(x) for x in c.worst_node)
-        note = c.note.replace(",", ";")
-        rows.append([c.name, str(c.passed).lower(), fmt_float(c.worst_value), node, note])
-    if report.nu1 is not None:
-        rows.append(["nu1", "", fmt_float(report.nu1), "", "smallest Rayleigh quotient"])
-        rows.append(["nu2", "", fmt_float(report.nu2), "", "smallest Rayleigh quotient"])
-    return rows
-
-
-def _comparison_rows(report: ComparisonReport) -> list[list[str]]:
-    return [
-        ["c_periodic", "c_asym", "gap", "margin", "passed"],
-        [
-            fmt_float(report.c_periodic),
-            fmt_float(report.c_asym),
-            fmt_float(report.gap),
-            fmt_float(report.margin),
-            str(report.passed).lower(),
-        ],
-    ]
-
-
-def _pohozaev_rows(report: PohozaevReport) -> list[list[str]]:
-    rows = [["quantity", "value"]]
-    rows.append(["lhs", fmt_float(report.lhs)])
-    rows.append(["rhs", fmt_float(report.rhs)])
-    rows.append(["residual", fmt_float(report.residual)])
-    rows.append(["relative", fmt_float(report.relative)])
-    for name, val in report.terms.items():
-        rows.append([f"term:{name}", fmt_float(val)])
-    rows.append(["grad_norm", fmt_float(report.grad_norm)])
-    rows.append(["near_critical", str(report.near_critical).lower()])
-    rows.append(["boundary_shell_max", fmt_float(report.boundary_shell_max)])
-    return rows
-
-
-def _nonexistence_rows(report: NonexistenceReport) -> list[list[str]]:
-    rows = [["quantity", "value"]]
-    rows.append(["q_value", fmt_float(report.q_value)])
-    rows.append(["q_nonneg_ok", str(report.q_nonneg_ok).lower()])
-    rows.append(["pohozaev_side", fmt_float(report.pohozaev_side)])
-    rows.append(["margin", fmt_float(report.margin)])
-    rows.append(["q_amgm", fmt_float(report.q_amgm)])
-    rows.append(["q_delta", fmt_float(report.q_delta)])
-    rows.append(["strict_gap", fmt_float(report.strict_gap)])
-    rows.append(["lambda_sign", report.lambda_sign])
-    return rows
+def write_rows(path: str | Path, rows: list[tuple]) -> None:
+    """Write tuples of raw values as UTF-8 CSV, one line per tuple."""
+    text = "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+    _atomic_write(path, text.encode("utf-8"))
 
 
 def write_report_csv(report, path: str | Path) -> None:
-    """Write any report type as UTF-8 CSV with a header row."""
-    if isinstance(report, SolveReport):
-        rows = _solve_rows(report)
-    elif isinstance(report, MuSweep):
-        rows = _sweep_rows(report)
-    elif isinstance(report, ValidationReport):
-        rows = _validation_rows(report)
-    elif isinstance(report, ComparisonReport):
-        rows = _comparison_rows(report)
-    elif isinstance(report, PohozaevReport):
-        rows = _pohozaev_rows(report)
-    elif isinstance(report, NonexistenceReport):
-        rows = _nonexistence_rows(report)
-    else:
-        raise TypeError(f"no CSV writer for report type {type(report).__name__}")
-    _write_rows(path, rows)
+    """Write a report's ``rows()``, a header tuple then data tuples, as CSV."""
+    write_rows(path, report.rows())
 
 
 def read_csv_rows(path: str | Path) -> list[dict[str, str]]:

@@ -185,6 +185,15 @@ class ValidationReport:
                 return c
         raise KeyError(name)
 
+    def rows(self) -> list[tuple]:
+        """CSV rows: one per check, then nu1 and nu2 when they were estimated."""
+        rows = [("assumption", "passed", "worst_value", "worst_node", "note")]
+        rows += [(c.name, c.passed, c.worst_value, c.worst_node, c.note) for c in self.checks]
+        if self.nu1 is not None:
+            for name, nu in (("nu1", self.nu1), ("nu2", self.nu2)):
+                rows.append((name, None, nu, None, "smallest Rayleigh quotient"))
+        return rows
+
 
 def sample_potentials(
     defs: tuple[PotentialDef, PotentialDef, PotentialDef],

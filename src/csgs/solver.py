@@ -15,7 +15,7 @@ for recovering compactness by translations.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -101,6 +101,11 @@ class SolveReport:
     field_norm_e_sq: float
     failure: str | None = None
 
+    def rows(self) -> list[tuple]:
+        """CSV rows: the header, then (iter, energy, grad_norm) per traced step."""
+        trace = enumerate(zip(self.energy_trace, self.grad_trace))
+        return [("iter", "energy", "grad_norm"), *((i, e, g) for i, (e, g) in trace)]
+
 
 @dataclass
 class MuSweep:
@@ -113,6 +118,14 @@ class MuSweep:
     converged: list[bool]
     reports: list[SolveReport] = field(repr=False, default_factory=list)
 
+    def rows(self) -> list[tuple]:
+        """CSV rows; the threshold cells stay empty when there is no threshold."""
+        rows = [("mu", "c", "threshold", "below_threshold")]
+        for mu, c, ok in zip(self.mu_values, self.energies, self.converged):
+            below = None if self.threshold is None else _below(c, ok, self.threshold)
+            rows.append((mu, c, self.threshold, below))
+        return rows
+
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -123,6 +136,10 @@ class ComparisonReport:
     gap: float
     margin: float
     passed: bool
+
+    def rows(self) -> list[tuple]:
+        """CSV rows: the field names, then their values."""
+        return [tuple(f.name for f in fields(self)), astuple(self)]
 
 
 def hash_grid(grid: Grid) -> str:
@@ -555,6 +572,15 @@ def estimate_sobolev_constant(
 # -- mu sweep and energy comparison -----------------------------------------
 
 
+def compactness_threshold(sobolev_constant: float, dim: int) -> float:
+    """The energy level S^(d/2)/d below which a critical-q minimizer is compact."""
+    return sobolev_constant ** (dim / 2.0) / dim
+
+
+def _below(c: float, converged: bool, threshold: float) -> bool:
+    return bool(converged and np.isfinite(c) and c < threshold)
+
+
 def sweep_mu(
     ps: PotentialSet,
     spec_template: ProblemSpec,
@@ -582,8 +608,7 @@ def sweep_mu(
     threshold = None
     if spec_template.regime == "critical-q":
         s_const = sobolev_constant if sobolev_constant is not None else estimate_sobolev_constant(grid)
-        d = spec_template.dim
-        threshold = s_const ** (d / 2.0) / d
+        threshold = compactness_threshold(s_const, spec_template.dim)
 
     reports: list[SolveReport] = []
     energies: list[float] = []
@@ -613,7 +638,7 @@ def sweep_mu(
     mu0 = None
     if threshold is not None:
         for mu, c, ok in zip(mus, energies, converged):
-            if ok and np.isfinite(c) and c < threshold:
+            if _below(c, ok, threshold):
                 mu0 = mu
                 break
 
@@ -623,11 +648,16 @@ def sweep_mu(
 def compare_energies(
     report_periodic: SolveReport, report_asym: SolveReport, margin: float = 0.0
 ) -> ComparisonReport:
-    """Check that the asymptotic ground level sits strictly below the periodic one."""
+    """Check that the asymptotic ground level sits strictly below the periodic one.
+
+    The gap must exceed ``margin`` by a slack of 1e-9 relative to the larger
+    energy (absolute below magnitude 1), so rounding noise never passes.
+    """
     if report_periodic.grid_hash != report_asym.grid_hash:
         raise GridMismatchError("comparison requires reports from the same grid")
     if report_periodic.spec_hash != report_asym.spec_hash:
         raise GridMismatchError("comparison requires reports with identical exponents and mu")
     gap = report_periodic.energy - report_asym.energy
-    passed = bool(gap > margin + 1e-9)
+    slack = 1e-9 * max(1.0, abs(report_periodic.energy), abs(report_asym.energy))
+    passed = bool(gap > margin + slack)
     return ComparisonReport(report_periodic.energy, report_asym.energy, gap, margin, passed)

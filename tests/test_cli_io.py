@@ -1,13 +1,29 @@
+import ast
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from csgs import GridSpec, PotentialDef, build_grid, read_field, write_field
+import csgs.fieldio
+from csgs import (
+    ComparisonReport,
+    GridSpec,
+    MuSweep,
+    NonexistenceReport,
+    PohozaevReport,
+    PotentialDef,
+    SolveReport,
+    ValidationReport,
+    build_grid,
+    read_field,
+    write_field,
+)
 from csgs.cli import run_cli
 from csgs.config import canonical_config, parse_config
 from csgs.errors import ConfigError, FieldFileError
-from csgs.fieldio import fmt_float, read_csv_rows, write_report_csv
+from csgs.fieldio import fmt_float, read_csv_rows, write_report_csv, write_rows
+from csgs.potentials import AssumptionCheck
 
 from conftest import random_pair
 
@@ -193,6 +209,82 @@ class TestFieldFile:
             read_field(path)
 
 
+def _solve_report(energy_trace, grad_trace):
+    return SolveReport(
+        None, energy_trace[-1], grad_trace[-1], len(energy_trace) - 1, energy_trace,
+        grad_trace, 0, True, "", "", "", 1.0,
+    )
+
+
+TAIL_NOTE = "max over |x|_inf >= 0.8 L, tolerance 0.01"
+
+# hand-built reports and the exact text of their CSVs: 17-digit floats,
+# true/false, empty cells for missing values, space-joined node tuples and
+# ';' for commas inside text
+CSV_CASES = [
+    pytest.param(
+        _solve_report([1.5, 0.1], [2.0, 1e-7]),
+        "iter,energy,grad_norm\n0,1.5,2\n1,0.10000000000000001,9.9999999999999995e-08\n",
+        id="solve",
+    ),
+    pytest.param(
+        MuSweep([0.5, 1.0, 2.0], [3.0, 2.0, 1.0], 1.5, 2.0, [True, True, True], []),
+        "mu,c,threshold,below_threshold\n0.5,3,1.5,false\n1,2,1.5,false\n2,1,1.5,true\n",
+        id="sweep",
+    ),
+    pytest.param(
+        MuSweep([0.5, 1.0], [2.0 / 3.0, 0.25], None, None, [True, False], []),
+        "mu,c,threshold,below_threshold\n0.5,0.66666666666666663,,\n1,0.25,,\n",
+        id="sweep-no-threshold",
+    ),
+    pytest.param(
+        ValidationReport(
+            "asymptotic",
+            [
+                AssumptionCheck("V1:periodicity", True, 0.0),
+                AssumptionCheck("V4:tail-decay", np.bool_(False), 0.1, (-3.25, 0.5), TAIL_NOTE),
+            ],
+            nu1=1.0,
+            nu2=2.0 / 3.0,
+        ),
+        "assumption,passed,worst_value,worst_node,note\n"
+        "V1:periodicity,true,0,,\n"
+        "V4:tail-decay,false,0.10000000000000001,-3.25 0.5,"
+        "max over |x|_inf >= 0.8 L; tolerance 0.01\n"
+        "nu1,,1,,smallest Rayleigh quotient\n"
+        "nu2,,0.66666666666666663,,smallest Rayleigh quotient\n",
+        id="validation",
+    ),
+    pytest.param(
+        ComparisonReport(2.0, 1.5, 0.5, 0.0, True),
+        "c_periodic,c_asym,gap,margin,passed\n2,1.5,0.5,0,true\n",
+        id="compare",
+    ),
+    pytest.param(
+        PohozaevReport(
+            1.0, 0.75, 0.25, 0.25, {"coupling": 0.5, "potential": 0.25}, 1e-4,
+            np.bool_(True), 0.0, ("analytic",) * 3,
+        ),
+        "quantity,value\nlhs,1\nrhs,0.75\nresidual,0.25\nrelative,0.25\n"
+        "term:coupling,0.5\nterm:potential,0.25\ngrad_norm,0.0001\n"
+        "near_critical,true\nboundary_shell_max,0\n",
+        id="pohozaev",
+    ),
+    pytest.param(
+        NonexistenceReport(2.0, True, -1.0, 3.0, 0.5, 1.0, 1.0, "positive", 7.0),
+        "quantity,value\nq_value,2\nq_nonneg_ok,true\npohozaev_side,-1\nmargin,3\n"
+        "q_amgm,0.5\nq_delta,1\nstrict_gap,1\nlambda_sign,positive\n",
+        id="nonexistence",
+    ),
+    pytest.param(
+        [("quantity", "value"), ("sobolev_constant", 0.1), ("energy_threshold", 2.0 / 3.0)],
+        "quantity,value\nsobolev_constant,0.10000000000000001\n"
+        "energy_threshold,0.66666666666666663\n",
+        id="sobolev",
+    ),
+]
+
+
 class TestCsv:
     def test_float_format_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -200,17 +292,31 @@ class TestCsv:
         for x in samples:
             assert float(fmt_float(x)) == float(x)
 
-    def test_sweep_csv_schema(self, tmp_path):
-        from csgs.solver import MuSweep
+    @pytest.mark.parametrize("report, expected", CSV_CASES)
+    def test_report_csv_cells(self, tmp_path, report, expected):
+        path = tmp_path / "report.csv"
+        if isinstance(report, list):  # sobolev.csv: plain rows, no report object
+            rows = report
+            write_rows(path, rows)
+        else:
+            rows = report.rows()
+            write_report_csv(report, path)
+        text = path.read_bytes().decode("utf-8")
+        assert text == expected
+        for raw, line in zip(rows, text.splitlines()):
+            for x, cell in zip(raw, line.split(",")):
+                if isinstance(x, float):
+                    assert float(cell) == x
+                elif isinstance(x, tuple):
+                    assert tuple(float(c) for c in cell.split()) == x
 
-        sweep = MuSweep([0.5, 1.0, 2.0], [3.0, 2.0, 1.0], 1.5, 2.0, [True, True, True], [])
-        path = tmp_path / "sweep.csv"
-        write_report_csv(sweep, path)
-        rows = read_csv_rows(path)
-        assert len(rows) == 3
-        assert set(rows[0]) == {"mu", "c", "threshold", "below_threshold"}
-        assert rows[2]["below_threshold"] == "true"
-        assert float(rows[0]["c"]) == 3.0
+    def test_fieldio_imports_no_algorithms(self):
+        tree = ast.parse(Path(csgs.fieldio.__file__).read_text(encoding="utf-8"))
+        relative = {
+            node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+        }
+        assert relative <= {"errors", "grid"}
 
 
 class TestCli:

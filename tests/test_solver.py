@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -328,6 +330,14 @@ class TestCompare:
         r_per, r_asym = pair_reports
         cmp = compare_energies(r_asym, r_per)
         assert not cmp.passed and cmp.gap < 0.0
+
+    def test_slack_scales_with_energy(self, pair_reports):
+        r_per, r_asym = pair_reports
+        # 5e-9 apart near 1e4 is rounding noise, however it exceeds an absolute 1e-9
+        near = compare_energies(replace(r_per, energy=1e4 + 5e-9), replace(r_asym, energy=1e4))
+        assert near.gap > 1e-9 and not near.passed
+        far = compare_energies(replace(r_per, energy=1e4 + 1e-4), replace(r_asym, energy=1e4))
+        assert far.passed
 
     def test_grid_mismatch_rejected(self, pair_reports):
         r_per, _ = pair_reports
