@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
@@ -48,6 +49,16 @@ class RunConfig:
         return replace(self, solver=replace(self.solver, seed=seed))
 
 
+def _finite_float(text: str, name: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be a finite number, got {text!r}")
+    return x
+
+
 class _Reader:
     """configparser wrapper that tracks which keys were consumed."""
 
@@ -71,10 +82,7 @@ class _Reader:
         s = self.raw(key, None, required)
         if s is None:
             return default
-        try:
-            return float(s)
-        except ValueError:
-            raise ConfigError(f"{self.section}.{key} must be a number, got {s!r}") from None
+        return _finite_float(s, f"{self.section}.{key}")
 
     def intv(self, key: str, default=None, required=False):
         s = self.raw(key, None, required)
@@ -224,10 +232,7 @@ def parse_config(text: str) -> RunConfig:
         items = [t.strip() for t in rawv.split(",") if t.strip()]
         if not items:
             raise ConfigError("sweep.mu_values must be non-empty")
-        try:
-            mu_values = [float(t) for t in items]
-        except ValueError:
-            raise ConfigError(f"sweep.mu_values must be numbers, got {rawv!r}") from None
+        mu_values = [_finite_float(t, "sweep.mu_values") for t in items]
         if any(m < 0 for m in mu_values):
             raise ConfigError("sweep.mu_values must be nonnegative")
         if any(b <= a for a, b in zip(mu_values, mu_values[1:])):

@@ -1,10 +1,13 @@
 """Truncated periodic/Dirichlet box: quadrature, Laplacian, lattice shifts.
 
 The computational domain is the box [-L, L)^d sampled on a uniform tensor
-grid with n nodes per axis, node k sitting at -L + k*h, h = 2L/n.  All
-integrals over R^d are replaced by quadrature on this box, so every
-quantity downstream (energies, norms, manifold constraints) is a statement
-about the truncated problem.
+grid with n nodes per axis, node k sitting at -L + k*h, h = 2L/n.  On
+Dirichlet grids the field vanishes on zero ghost nodes, the walls, at
+-L - h and L.  All integrals over R^d are replaced by one quadrature rule
+on every box, weight h^d at every node, so every quantity downstream
+(energies, norms, manifold constraints) is a statement about the truncated
+problem, and the fd2 Laplacian is symmetric under that rule on either
+boundary.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ class GridSpec:
     points_per_dim : int
         Even node count n per axis (n >= 4).
     boundary : str
-        "periodic" (default) or "dirichlet".
+        "periodic" (default) or "dirichlet".  Dirichlet nodes stay at
+        -L + k h; their zero ghosts, the walls, sit at -L - h and L.  Every
+        node weighs h^d in quadrature on either boundary.
     laplacian_mode : str
         "spectral" (periodic only) or "fd2".
     """
@@ -63,7 +68,7 @@ class GridSpec:
 
 
 class Grid:
-    """Sampled box: node coordinates, quadrature weights, Laplacian machinery.
+    """Sampled box: node coordinates, spacing, Laplacian machinery.
 
     Constructed through :func:`build_grid`.  Instances are immutable in
     practice and safe to share between threads; the cached FFT multipliers
@@ -79,24 +84,8 @@ class Grid:
         self.axis_coords = -spec.half_width + self.spacing * np.arange(
             spec.points_per_dim, dtype=float
         )
-        if spec.boundary == "periodic":
-            axis_w = np.full(spec.points_per_dim, self.spacing)
-        else:
-            # trapezoidal rule on the sampled nodes
-            axis_w = np.full(spec.points_per_dim, self.spacing)
-            axis_w[0] = axis_w[-1] = 0.5 * self.spacing
-        self.axis_weights = axis_w
 
     # -- lazy geometry ---------------------------------------------------
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Tensor-product quadrature weights, one per node."""
-        w = self.axis_weights
-        out = w
-        for _ in range(self.spec.dim - 1):
-            out = np.multiply.outer(out, w)
-        return out
 
     @cached_property
     def coords(self) -> tuple[np.ndarray, ...]:
@@ -156,16 +145,13 @@ def build_grid(spec: GridSpec) -> Grid:
 
 
 def integrate(f: np.ndarray, grid: Grid) -> float:
-    """Quadrature of a grid function: sum of weights * values.
+    """Quadrature of a grid function: h^d times the sum of the values.
 
-    Exact for constants on periodic grids.  Summation order follows the
-    array layout; see :func:`lp_integral` for the order-canonical variant
-    used for translation-invariant norms.
+    Summation order follows the array layout; see :func:`lp_integral` for
+    the order-canonical variant used for translation-invariant norms.
     """
     grid.check_conforms(f)
-    if grid.is_periodic:
-        return float(grid.spacing**grid.spec.dim * np.sum(f))
-    return float(np.sum(f * grid.weights))
+    return float(grid.spacing**grid.spec.dim * np.sum(f))
 
 
 def _whole_power(a: np.ndarray, k: int) -> np.ndarray:
@@ -188,41 +174,33 @@ def lp_integral(f: np.ndarray, p: float, grid: Grid) -> float:
     with np.errstate(over="ignore"):
         vals = np.abs(f, dtype=float).ravel()
         vals = _whole_power(vals, int(p)) if float(p).is_integer() and p >= 1 else vals**p
-        if grid.is_periodic:
-            return float(grid.spacing**grid.spec.dim * np.sum(np.sort(vals)))
-        vals = vals * grid.weights.ravel()
-        return float(np.sum(np.sort(vals)))
+        return float(grid.spacing**grid.spec.dim * np.sum(np.sort(vals)))
 
 
 def apply_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Laplacian of a grid function (spectral or second-order stencil).
 
     Spectral mode multiplies Fourier coefficients by -|k|^2; fd2 applies
-    the standard 3-point stencil per axis, with wraparound neighbors on
-    periodic grids and zero ghost values outside Dirichlet grids.
+    the standard 3-point stencil per axis to f padded by one node, with
+    wraparound neighbors on periodic grids and zero walls on Dirichlet grids.
     """
     grid.check_conforms(f)
+    d = grid.spec.dim
     if grid.spec.laplacian_mode == "spectral":
-        axes = tuple(range(grid.spec.dim))
+        axes = tuple(range(d))
         fh = np.fft.rfftn(f, axes=axes)
         fh *= grid._lap_multiplier
         return np.fft.irfftn(fh, s=grid.shape, axes=axes)
-    h2 = grid.spacing**2
-    out = -2.0 * grid.spec.dim * f
-    for ax in range(grid.spec.dim):
-        if grid.is_periodic:
-            out = out + np.roll(f, 1, axis=ax) + np.roll(f, -1, axis=ax)
-        else:
-            up = np.zeros_like(f)
-            dn = np.zeros_like(f)
-            src = [slice(None)] * grid.spec.dim
-            dst = [slice(None)] * grid.spec.dim
-            src[ax], dst[ax] = slice(1, None), slice(None, -1)
-            up[tuple(dst)] = f[tuple(src)]
-            src[ax], dst[ax] = slice(None, -1), slice(1, None)
-            dn[tuple(dst)] = f[tuple(src)]
-            out = out + up + dn
-    return out / h2
+    padded = np.pad(f, 1, mode="wrap" if grid.is_periodic else "constant")
+    out = -2.0 * d * f
+    for ax in range(d):
+        lo = [slice(1, -1)] * d
+        hi = [slice(1, -1)] * d
+        lo[ax], hi[ax] = slice(None, -2), slice(2, None)
+        out += padded[tuple(lo)]
+        out += padded[tuple(hi)]
+    out /= grid.spacing**2
+    return out
 
 
 def shifted_inverse(f: np.ndarray, shift: float, grid: Grid) -> np.ndarray:

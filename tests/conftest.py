@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from csgs import (
     FieldPair,
@@ -10,6 +11,10 @@ from csgs import (
     sample_potentials,
     validate_assumptions,
 )
+
+# Property tests draw the same small set of examples on every run.
+settings.register_profile("tier1", derandomize=True, max_examples=50, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -87,6 +87,12 @@ kind = radial-quadratic
 coeff = -0.25
 """
 
+NON_FINITE_CASES = {
+    "solver.grad_tol": lambda v: BASE_CFG.replace("grad_tol = 1e-6", f"grad_tol = {v}"),
+    "problem.mu": lambda v: BASE_CFG.replace("mu = 1.0", f"mu = {v}"),
+    "sweep.mu_values": lambda v: BASE_CFG + f"\n[sweep]\nmu_values = 1, {v}\n",
+}
+
 
 class TestConfig:
     def test_parse_roundtrip_idempotent(self):
@@ -135,6 +141,12 @@ class TestConfig:
             parse_config(BASE_CFG + "\n[sweep]\nmu_values =\n")
         with pytest.raises(ConfigError, match="increasing"):
             parse_config(BASE_CFG + "\n[sweep]\nmu_values = 2, 1\n")
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("key", sorted(NON_FINITE_CASES))
+    def test_non_finite_number_named(self, key, value):
+        with pytest.raises(ConfigError, match=rf"{key} must be a finite number"):
+            parse_config(NON_FINITE_CASES[key](value))
 
     def test_gaussian_potential_roundtrip(self):
         text = BASE_CFG.replace(
@@ -362,6 +374,13 @@ class TestCli:
         code = run_cli(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 1
         assert "non-empty" in capsys.readouterr().err
+
+    def test_solve_with_infinite_tolerance_exit1(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, NON_FINITE_CASES["solver.grad_tol"]("inf"))
+        code = run_cli(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "solver.grad_tol" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_validation_failure_exit2(self, tmp_path):
         bad = BASE_CFG.replace("value = 0.3", "value = 2.0")  # coupling above the bound

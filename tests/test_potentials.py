@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,16 @@ class TestEstimateNu:
         nu1, nu2 = estimate_nu(ps)
         assert nu1 == pytest.approx(1.0, abs=1e-8)
         assert nu2 == pytest.approx(2.5, abs=1e-8)
+
+    @pytest.mark.parametrize("dim,n,half_width,c", [(1, 64, 4.0, 1.0), (2, 16, 2.0, 1.0),
+                                                    (3, 8, 2.0, 1.5)])
+    def test_dirichlet_constant_potential(self, dim, n, half_width, c):
+        g = build_grid(GridSpec(dim, half_width, n, "dirichlet", "fd2"))
+        ps = sample_potentials((CONST(c), CONST(c), CONST(0.0)), 0.5, g)
+        nu1, _ = estimate_nu(ps)
+        # lowest eigenvalue of the zero-wall stencil: n interior nodes, n + 1 gaps
+        lam = c + dim * (2.0 - 2.0 * math.cos(math.pi / (n + 1))) / g.spacing**2
+        assert lam - 1e-12 <= nu1 <= lam + 1e-7
 
     def test_zero_potential_flagged(self, grid_1d):
         ps = sample_potentials((CONST(0.0), CONST(1.0), CONST(0.0)), 0.5, grid_1d)

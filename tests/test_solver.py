@@ -97,6 +97,14 @@ class TestMinimize:
         assert rep.iterations < SolveOptions().max_iters
         assert rep.failure == "stagnated"
 
+    def test_dirichlet_solve_converges(self):
+        g = build_grid(GridSpec(1, 4.0, 128, "dirichlet", "fd2"))
+        ps = sample_potentials((CONST(1.0), CONST(1.0), CONST(0.3)), 0.3, g)
+        spec = ProblemSpec(1, 4.0, 4.0, 1.0)
+        rep = minimize_ground_state(ps, spec, g, SolveOptions())
+        assert rep.converged and rep.failure is None
+        assert rep.grad_norm <= SolveOptions().grad_tol
+
     def test_degenerate_init_reports_failure(self, setup_1d):
         g, ps, _ = setup_1d
         spec0 = ProblemSpec(1, 4.0, 4.0, 0.0)
@@ -129,9 +137,7 @@ class TestCarriedLaplacians:
         [
             (GridSpec(3, 4.0, 16), ProblemSpec(3, 4.0, 6.0, 1.0), QUICK),
             (GridSpec(1, 4.0, 64, "periodic", "fd2"), ProblemSpec(1, 4.0, 4.0, 1.0), QUICK),
-            # Dirichlet solves stop short of grad_tol; the energy must still agree
-            (GridSpec(1, 4.0, 64, "dirichlet", "fd2"), ProblemSpec(1, 4.0, 4.0, 1.0),
-             SolveOptions(max_iters=300)),
+            (GridSpec(1, 4.0, 64, "dirichlet", "fd2"), ProblemSpec(1, 4.0, 4.0, 1.0), QUICK),
         ],
         ids=["spectral-3d", "fd2-periodic", "fd2-dirichlet"],
     )
