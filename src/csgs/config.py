@@ -18,15 +18,8 @@ from .errors import ConfigError
 from .fieldio import fmt_float
 from .functional import ProblemSpec
 from .grid import GridSpec
-from .potentials import VALIDATION_MODES, PotentialDef
-from .solver import INIT_MODES, SolveOptions
-
-_KIND_PARAMS = {
-    "constant": ("value",),
-    "cosine-lattice": ("offset", "amplitude"),
-    "gaussian": ("base", "amp", "sigma"),
-    "radial-quadratic": ("coeff",),
-}
+from .potentials import KIND_PARAMS, VALIDATION_MODES, PotentialDef
+from .solver import SolveOptions
 
 
 @dataclass
@@ -116,11 +109,11 @@ def _parse_potential(parser: configparser.ConfigParser, section: str) -> Potenti
         raise ConfigError(f"missing section [{section}]")
     r = _Reader(parser, section)
     kind = r.raw("kind", required=True)
-    if kind not in _KIND_PARAMS:
+    if kind not in KIND_PARAMS:
         raise ConfigError(
-            f"{section}.kind must be one of {sorted(_KIND_PARAMS)}, got {kind!r}"
+            f"{section}.kind must be one of {sorted(KIND_PARAMS)}, got {kind!r}"
         )
-    params = tuple(r.floatv(name, required=True) for name in _KIND_PARAMS[kind])
+    params = tuple(r.floatv(name, required=True) for name in KIND_PARAMS[kind])
     r.check_consumed()
     try:
         return PotentialDef(kind, params)
@@ -201,22 +194,12 @@ def parse_config(text: str) -> RunConfig:
             kwargs["max_iters"] = s.intv("max_iters")
         if s.has("grad_tol"):
             kwargs["grad_tol"] = s.floatv("grad_tol")
-        if s.has("step0"):
-            kwargs["step0"] = s.floatv("step0")
-        if s.has("armijo_factor"):
-            kwargs["armijo_factor"] = s.floatv("armijo_factor")
-        if s.has("armijo_decrease"):
-            kwargs["armijo_decrease"] = s.floatv("armijo_decrease")
         if s.has("recenter_every"):
             kwargs["recenter_every"] = s.intv("recenter_every")
         if s.has("seed"):
             kwargs["seed"] = s.intv("seed")
         if s.has("init"):
             kwargs["init"] = s.raw("init")
-            if kwargs["init"] not in INIT_MODES:
-                raise ConfigError(
-                    f"solver.init must be one of {sorted(INIT_MODES)}, got {kwargs['init']!r}"
-                )
         if s.has("init_file"):
             kwargs["init_path"] = s.raw("init_file")
         try:
@@ -277,11 +260,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _emit_potential(out: io.StringIO, section: str, d: PotentialDef) -> None:
-    if d.kind not in _KIND_PARAMS:
+    if d.kind not in KIND_PARAMS:
         raise ConfigError(f"potential kind {d.kind!r} has no config representation")
     out.write(f"[{section}]\n")
     out.write(f"kind = {d.kind}\n")
-    for name, val in zip(_KIND_PARAMS[d.kind], d.params):
+    for name, val in zip(KIND_PARAMS[d.kind], d.params):
         out.write(f"{name} = {fmt_float(val)}\n")
     out.write("\n")
 
@@ -318,9 +301,6 @@ def canonical_config(cfg: RunConfig) -> str:
     out.write("[solver]\n")
     out.write(f"max_iters = {s.max_iters}\n")
     out.write(f"grad_tol = {fmt_float(s.grad_tol)}\n")
-    out.write(f"step0 = {fmt_float(s.step0)}\n")
-    out.write(f"armijo_factor = {fmt_float(s.armijo_factor)}\n")
-    out.write(f"armijo_decrease = {fmt_float(s.armijo_decrease)}\n")
     out.write(f"recenter_every = {s.recenter_every}\n")
     out.write(f"seed = {s.seed}\n")
     out.write(f"init = {s.init}\n")

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CandidateNotPositiveError
 from .functional import ProblemSpec, energy_gradient, pair_norm_l2
 from .grid import FieldPair, Grid, apply_laplacian, integrate
-from .potentials import PotentialSet, _shell_mask
+from .potentials import PotentialSet, _node_coord, _shell_mask
 
 
 @dataclass
@@ -156,14 +156,14 @@ def nonexistence_certificate(
     for label, f in (("u", fp.u), ("v", fp.v)):
         worst = np.unravel_index(int(np.argmin(f)), grid.shape)
         if f[worst] <= 0.0:
-            coord = tuple(float(grid.axis_coords[i]) for i in worst)
+            coord = _node_coord(grid, worst)
             raise CandidateNotPositiveError(
                 f"candidate {label} is not strictly positive at node {coord} "
                 f"(value {f[worst]!r})"
             )
 
     u, v = fp.u, fp.v
-    q_value = integrate(ps.v1 * u * u + ps.v2 * v * v - 2.0 * ps.lam * u * v, grid)
+    q_value = coupling_sign_value(fp, ps, grid)
     scale = max(1.0, integrate(ps.v1 * u * u + ps.v2 * v * v, grid))
 
     rad_v1, _ = ps.defs[0].radial_derivative(grid.coords, grid.spacing)
@@ -205,6 +205,5 @@ def coupling_sign_value(fp: FieldPair, ps: PotentialSet, grid: Grid) -> float:
     """Q(u, v) alone; nonnegative for validated coupling bounds, any pair."""
     ps.check_grid(grid)
     grid.check_conforms(fp.u)
-    return float(
-        integrate(ps.v1 * fp.u**2 + ps.v2 * fp.v**2 - 2.0 * ps.lam * fp.u * fp.v, grid)
-    )
+    u, v = fp.u, fp.v
+    return float(integrate(ps.v1 * u * u + ps.v2 * v * v - 2.0 * ps.lam * u * v, grid))

@@ -13,6 +13,7 @@ this module computes once and reuses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,9 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
+        for name in ("p", "q", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.p > 2:
             raise ValueError(f"p must exceed 2, got {self.p}")
         if self.q < self.p:

@@ -12,6 +12,7 @@ boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,8 +53,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not self.half_width > 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         n = self.points_per_dim
         if n % 2 != 0:
             raise ValueError(f"n must be even, got {n}")

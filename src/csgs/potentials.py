@@ -21,7 +21,14 @@ from scipy.sparse.linalg import LinearOperator, cg
 from .errors import ConvergenceError, GridMismatchError
 from .grid import Grid, apply_laplacian, integrate, shifted_inverse
 
-KINDS = ("constant", "cosine-lattice", "gaussian", "radial-quadratic", "callback")
+# parameter names of each built-in kind, in ``params`` order
+KIND_PARAMS = {
+    "constant": ("value",),
+    "cosine-lattice": ("offset", "amplitude"),
+    "gaussian": ("base", "amp", "sigma"),
+    "radial-quadratic": ("coeff",),
+}
+KINDS = (*KIND_PARAMS, "callback")
 
 VALIDATION_MODES = (
     "periodic",
@@ -53,6 +60,12 @@ class PotentialDef:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "callback" and self.fn is None:
             raise ValueError("callback potential requires fn")
+        names = KIND_PARAMS.get(self.kind, ())
+        if len(self.params) != len(names):
+            raise ValueError(
+                f"{self.kind} potential takes {len(names)} parameters {names}, "
+                f"got {len(self.params)}"
+            )
         if not all(np.isfinite(self.params)):
             raise ValueError(f"potential parameters must be finite, got {self.params}")
         if self.kind == "gaussian" and not self.params[2] > 0:
@@ -424,21 +437,21 @@ def _rayleigh(x: np.ndarray, v: np.ndarray, grid: Grid) -> float:
     return num / den
 
 
-def estimate_nu(ps: PotentialSet, grid: Grid | None = None, *, tol: float = 1e-8,
-                max_iters: int = 500) -> tuple[float, float]:
+def estimate_nu(ps: PotentialSet, grid: Grid | None = None) -> tuple[float, float]:
     """Smallest Rayleigh quotient of -Laplacian + V_i for i = 1, 2.
 
     Shifted inverse power iteration; inner solves by conjugate gradients
-    with an FFT preconditioner on periodic spectral grids.  Converges when
-    successive eigenvalue estimates differ by at most ``tol``.
+    (relative tolerance 1e-12) with an FFT preconditioner on periodic
+    spectral grids.  Converges when successive eigenvalue estimates differ
+    by at most 1e-8, and raises :class:`ConvergenceError` after 500
+    iterations.
     """
     grid = grid or ps.grid
     ps.check_grid(grid)
-    return (_smallest_eig(ps.v1, grid, tol, max_iters),
-            _smallest_eig(ps.v2, grid, tol, max_iters))
+    return _smallest_eig(ps.v1, grid), _smallest_eig(ps.v2, grid)
 
 
-def _smallest_eig(v: np.ndarray, grid: Grid, tol: float, max_iters: int) -> float:
+def _smallest_eig(v: np.ndarray, grid: Grid) -> float:
     n = grid.num_nodes
     shift = 1.0  # operator is PSD for validated V, so A + shift is definite
 
@@ -460,7 +473,7 @@ def _smallest_eig(v: np.ndarray, grid: Grid, tol: float, max_iters: int) -> floa
     x = np.ones(grid.shape)
     x /= np.sqrt(integrate(x * x, grid))
     nu_prev = _rayleigh(x, v, grid)
-    for _ in range(max_iters):
+    for _ in range(500):
         y, info = cg(op, x.ravel(), x0=x.ravel(), rtol=1e-12, atol=0.0, M=precond,
                      maxiter=10 * n)
         if info != 0:
@@ -468,9 +481,7 @@ def _smallest_eig(v: np.ndarray, grid: Grid, tol: float, max_iters: int) -> floa
         x = y.reshape(grid.shape)
         x /= np.sqrt(integrate(x * x, grid))
         nu = _rayleigh(x, v, grid)
-        if abs(nu - nu_prev) <= tol:
+        if abs(nu - nu_prev) <= 1e-8:
             return float(nu)
         nu_prev = nu
-    raise ConvergenceError(
-        f"inverse power iteration did not reach tol={tol} in {max_iters} iterations"
-    )
+    raise ConvergenceError("inverse power iteration did not reach tol=1e-8 in 500 iterations")

@@ -15,7 +15,8 @@ for recovering compactness by translations.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import astuple, dataclass, field, fields, replace
+import math
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -51,6 +52,12 @@ INIT_MODES = ("gaussian-bump", "random", "file")
 _PROJECTION_ERRORS = (ZeroFieldError, DegenerateNonlinearityError, NonpositiveQuadraticFormError)
 _EPS = float(np.finfo(float).eps)
 
+# descent line search: first trial step, backtracking factor, and the
+# Armijo sufficient-decrease fraction
+_STEP0 = 1.0
+_BACKTRACK = 0.5
+_ARMIJO = 1e-4
+
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -58,9 +65,6 @@ class SolveOptions:
 
     max_iters: int = 5000
     grad_tol: float = 1e-6
-    step0: float = 1.0
-    armijo_factor: float = 0.5
-    armijo_decrease: float = 1e-4
     recenter_every: int = 50
     seed: int = 0
     init: str = "gaussian-bump"
@@ -69,14 +73,8 @@ class SolveOptions:
     def __post_init__(self) -> None:
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
-        if not self.step0 > 0:
-            raise ValueError("step0 must be positive")
-        if not 0.0 < self.armijo_factor < 1.0:
-            raise ValueError("armijo_factor must lie in (0, 1)")
-        if not 0.0 < self.armijo_decrease < 1.0:
-            raise ValueError("armijo_decrease must lie in (0, 1)")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if self.recenter_every < 0:
             raise ValueError("recenter_every must be nonnegative (0 disables)")
         if self.init not in INIT_MODES:
@@ -284,7 +282,7 @@ def minimize_ground_state(
     recenters = 0
     iterations = 0
     stagnated = False
-    step = opts.step0
+    step = _STEP0
     bb_flip = False
     can_recenter = (
         opts.recenter_every > 0
@@ -309,14 +307,14 @@ def minimize_ground_state(
                 if not np.isfinite(e_new):
                     raise NonFiniteEnergyError("trial energy is not finite")
             except (*_PROJECTION_ERRORS, NonFiniteEnergyError):
-                s *= opts.armijo_factor
+                s *= _BACKTRACK
                 continue
             # at the rounding floor the model decrease is below one ulp of
             # the energy, so energy differences are noise: accept a
             # non-increase, or an energy within rounding noise of the lowest
             # recorded one whose gradient norm is lower
             at_floor = s * gnorm_sq <= 1e-13 * e_scale
-            if e_new <= e_cur - opts.armijo_decrease * s * gnorm_sq or (
+            if e_new <= e_cur - _ARMIJO * s * gnorm_sq or (
                 at_floor and e_new <= e_cur
             ):
                 break
@@ -325,7 +323,7 @@ def minimize_ground_state(
                 if pair_norm_l2(grad_trial, grid) < gnorm:
                     grad_new = grad_trial
                     break
-            s *= opts.armijo_factor
+            s *= _BACKTRACK
         else:  # no trial accepted
             stagnated = True
             break
@@ -356,7 +354,7 @@ def minimize_ground_state(
             grad_new = energy_gradient(cand_p, ps, spec, grid)
 
         if recentered:
-            step = opts.step0
+            step = _STEP0
         else:
             # alternating Barzilai-Borwein trial step for the next iteration
             du = cand_p.u - fp.u
@@ -373,7 +371,7 @@ def minimize_ground_state(
             if np.isfinite(den) and den > 0.0 and np.isfinite(num) and num > 0.0:
                 step = float(np.clip(num / den, 1e-12, 1e10))
             else:
-                step = min(s * 2.0, opts.step0)
+                step = min(s * 2.0, _STEP0)
 
         fp, inv, e_cur = cand_p, inv_p, e_new
         grad, gnorm = grad_new, pair_norm_l2(grad_new, grid)
@@ -406,23 +404,20 @@ def nonneg_refine(
     ps: PotentialSet,
     spec: ProblemSpec,
     grid: Grid,
-    opts: SolveOptions | None = None,
 ) -> SolveReport:
     """Replace the minimizer by its nonnegative representative and repolish.
 
     Projects (|u|, |v|) back onto the manifold; when the coupling is
     nonnegative this cannot raise the energy (the pointwise inequality
-    survives nonnegative quadrature weights).  A short gradient run then
-    polishes the result, and a final magnitude projection guarantees
-    nodewise nonnegative output.
+    survives nonnegative quadrature weights).  A gradient run of at most
+    500 iterations then polishes the result, and a final magnitude
+    projection guarantees nodewise nonnegative output.
     """
-    opts = opts or SolveOptions(max_iters=500)
-    polish_opts = replace(opts, init="file")
-
     nn = report.field.magnitudes()
     inv_nn = pair_invariants(nn, ps, spec, grid)
     nn_p, _, _ = _project(nn, inv_nn, spec)
 
+    polish_opts = SolveOptions(max_iters=500, init="file")
     polished = minimize_ground_state(ps, spec, grid, polish_opts, init_field=nn_p)
 
     final = polished.field.magnitudes()
@@ -473,13 +468,7 @@ def sobolev_quotient(f: np.ndarray, grid: Grid) -> float:
     return float(num / den)
 
 
-def estimate_sobolev_constant(
-    grid: Grid,
-    *,
-    search_radius: float = 0.01,
-    max_iters: int = 400,
-    slope_tol: float = 1e-8,
-) -> float:
+def estimate_sobolev_constant(grid: Grid, *, search_radius: float = 0.01) -> float:
     """Estimate the sharp embedding constant by polishing the extremal bubble.
 
     Gradient descent on the Rayleigh quotient from the sampled unit bubble,
@@ -495,6 +484,11 @@ def estimate_sobolev_constant(
     symmetry directions (constants, dilations, translations), and the
     returned value converges under grid refinement a couple of percent
     below the sampled bubble's quotient.
+
+    The polish stops when the preconditioned slope is at most
+    ``1e-8 max(1, quotient)``, or when no step inside the ball (60 halvings)
+    lowers the quotient by ``1e-12`` relative; it raises
+    :class:`ConvergenceError` after 400 iterations.
     """
     if grid.spec.dim != 3:
         raise GridMismatchError("Sobolev constant estimation requires d = 3")
@@ -519,7 +513,7 @@ def estimate_sobolev_constant(
             return anchor + w * (cap / wn)
         return f
 
-    for _ in range(max_iters):
+    for _ in range(400):
         den2 = den6 ** (1.0 / 3.0)
         raw = (2.0 / den2) * ((-apply_laplacian(u, grid)) - (num / den6) * u**5)
 
@@ -546,7 +540,7 @@ def estimate_sobolev_constant(
             direction = direction - integrate(direction * b, grid) * b
 
         slope = integrate(direction * raw, grid)
-        if slope <= slope_tol * max(1.0, quot):
+        if slope <= 1e-8 * max(1.0, quot):
             return float(quot)
 
         accepted = False
@@ -566,7 +560,7 @@ def estimate_sobolev_constant(
         u, num, den6, quot = cand, num_c, den6_c, quot_c
         step = min(s * 2.0, 1e3)
 
-    raise ConvergenceError(f"Sobolev polish still descending after {max_iters} iterations")
+    raise ConvergenceError("Sobolev polish still descending after 400 iterations")
 
 
 # -- mu sweep and energy comparison -----------------------------------------

@@ -148,6 +148,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"{key} must be a finite number"):
             parse_config(NON_FINITE_CASES[key](value))
 
+    @pytest.mark.parametrize("key", ["step0", "armijo_factor", "armijo_decrease"])
+    def test_line_search_constants_not_configurable(self, key):
+        with pytest.raises(ConfigError, match=rf"unknown key solver\.{key}"):
+            parse_config(BASE_CFG + f"{key} = 0.5\n")
+
+    def test_bad_init_mode_names_section(self):
+        with pytest.raises(ConfigError, match=r"\[solver\].*init"):
+            parse_config(BASE_CFG + "init = bogus\n")
+
+    def test_canonical_solver_keys(self):
+        canon = canonical_config(parse_config(BASE_CFG))
+        section = canon.split("[solver]\n")[1].split("\n\n")[0]
+        keys = [line.split(" = ")[0] for line in section.splitlines()]
+        assert keys == ["max_iters", "grad_tol", "recenter_every", "seed", "init"]
+
     def test_gaussian_potential_roundtrip(self):
         text = BASE_CFG.replace(
             "[potential.lambda]\nkind = constant\nvalue = 0.3",
@@ -380,6 +395,13 @@ class TestCli:
         code = run_cli(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 1
         assert "solver.grad_tol" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_removed_solver_key_exit1(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, BASE_CFG + "armijo_factor = 0.5\n")
+        code = run_cli(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "solver.armijo_factor" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_validation_failure_exit2(self, tmp_path):

@@ -8,6 +8,7 @@ from csgs import (
     GridSpec,
     PotentialDef,
     ProblemSpec,
+    SolveOptions,
     build_grid,
     energy,
     energy_gradient,
@@ -65,6 +66,22 @@ class TestProblemSpec:
     )
     def test_regimes(self, dim, p, q, regime):
         assert ProblemSpec(dim, p, q, 1.0).regime == regime
+
+
+NON_FINITE_FIELDS = {
+    "GridSpec.half_width": lambda x: GridSpec(1, x, 8),
+    "ProblemSpec.p": lambda x: ProblemSpec(1, x, 8.0, 1.0),
+    "ProblemSpec.q": lambda x: ProblemSpec(1, 4.0, x, 1.0),
+    "ProblemSpec.mu": lambda x: ProblemSpec(1, 4.0, 4.0, x),
+    "SolveOptions.grad_tol": lambda x: SolveOptions(grad_tol=x),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_FIELDS))
+def test_library_types_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=rf"^{name.split('.')[1]} must be"):
+        NON_FINITE_FIELDS[name](value)
 
 
 class TestQuadraticForm:

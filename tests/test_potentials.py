@@ -62,6 +62,15 @@ class TestSampling:
         with pytest.raises(ValueError, match="width"):
             PotentialDef.gaussian(1.0, 0.5, 0.0)
 
+    @pytest.mark.parametrize(
+        "kind,params",
+        [("gaussian", (1.0,)), ("constant", ()), ("constant", (1.0, 2.0)),
+         ("cosine-lattice", (1.0,))],
+    )
+    def test_parameter_count_checked(self, kind, params):
+        with pytest.raises(ValueError, match=rf"{kind} potential takes \d parameters"):
+            PotentialDef(kind, params)
+
 
 class TestPeriodicValidation:
     def test_zero_coupling_passes(self, grid_1d):
