@@ -318,7 +318,7 @@ def canonical_config(cfg: RunConfig) -> str:
             out.write(f"field = {cfg.pohozaev_field}\n")
         if cfg.pohozaev_bubble:
             out.write("bubble = true\n")
-            out.write(f"bubble_scale = {fmt_float(cfg.bubble_scale)}\n")
+        out.write(f"bubble_scale = {fmt_float(cfg.bubble_scale)}\n")
         out.write("\n")
 
     out.write("[output]\n")

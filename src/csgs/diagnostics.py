@@ -91,12 +91,13 @@ def pohozaev_residual(
 ) -> PohozaevReport:
     """Evaluate both sides of the dilation identity and itemize the right side.
 
-    Radial-derivative integrals use the analytic potential definitions
-    (callbacks or closed forms, central differences as fallback), never
-    stencil derivatives of the sampled arrays.  The report flags whether
-    the pair is near-critical, since the identity is only asserted for
-    solutions, and records the field magnitude on the boundary shell where
-    the periodic truncation pollutes the balance.
+    Radial-derivative integrals use ``ps.radial``, sampled once from the
+    analytic potential definitions (callbacks or closed forms, central
+    differences as fallback), never stencil derivatives of the sampled
+    arrays.  The report flags whether the pair is near-critical, since the
+    identity is only asserted for solutions, and records the field
+    magnitude on the boundary shell where the periodic truncation pollutes
+    the balance.
     """
     _require_double_critical(spec, grid)
     ps.check_grid(grid)
@@ -106,9 +107,7 @@ def pohozaev_residual(
     n = 3
     two_star = 6.0
 
-    rad_v1, path1 = ps.defs[0].radial_derivative(grid.coords, grid.spacing)
-    rad_v2, path2 = ps.defs[1].radial_derivative(grid.coords, grid.spacing)
-    rad_lam, path3 = ps.defs[2].radial_derivative(grid.coords, grid.spacing)
+    (rad_v1, path1), (rad_v2, path2), (rad_lam, path3) = ps.radial
 
     terms = {
         "mu_u_critical": spec.mu * integrate(np.abs(u) ** two_star, grid),
@@ -166,9 +165,7 @@ def nonexistence_certificate(
     q_value = coupling_sign_value(fp, ps, grid)
     scale = max(1.0, integrate(ps.v1 * u * u + ps.v2 * v * v, grid))
 
-    rad_v1, _ = ps.defs[0].radial_derivative(grid.coords, grid.spacing)
-    rad_v2, _ = ps.defs[1].radial_derivative(grid.coords, grid.spacing)
-    rad_lam, _ = ps.defs[2].radial_derivative(grid.coords, grid.spacing)
+    (rad_v1, _), (rad_v2, _), (rad_lam, _) = ps.radial
     pohozaev_side = integrate(rad_lam * u * v, grid) - 0.5 * integrate(
         rad_v1 * u * u + rad_v2 * v * v, grid
     )

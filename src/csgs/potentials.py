@@ -13,10 +13,10 @@ assumption nodewise, which is the strongest test the discretization admits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConvergenceError, GridMismatchError
 from .grid import Grid, apply_laplacian, integrate, shifted_inverse
@@ -171,6 +171,15 @@ class PotentialSet:
         if self.grid is not grid and self.grid.spec != grid.spec:
             raise GridMismatchError("potential set was sampled on a different grid")
 
+    @cached_property
+    def radial(self) -> tuple[tuple[np.ndarray, str], ...]:
+        """(<grad f, x> at every node, path) for V1, V2 and lambda.
+
+        Sampled from the definitions on first read and kept; the arrays are
+        shared by every reader, which must not modify them.
+        """
+        return tuple(d.radial_derivative(self.grid.coords, self.grid.spacing) for d in self.defs)
+
 
 @dataclass
 class AssumptionCheck:
@@ -317,13 +326,11 @@ def _check_asymptotic(ps, ref, grid, tail_tol) -> list[AssumptionCheck]:
 
 def _check_radial(ps, grid) -> list[AssumptionCheck]:
     checks = []
-    coords = grid.coords
     scale_env = max(
         1.0, float(np.max(np.abs(ps.v1))), float(np.max(np.abs(ps.v2))), float(np.max(np.abs(ps.lam)))
     )
     tiny = 1e-12 * scale_env
-    for name, d, f in (("V7:V1", ps.defs[0], ps.v1), ("V7:V2", ps.defs[1], ps.v2)):
-        rad, path = d.radial_derivative(coords, grid.spacing)
+    for name, (rad, path), f in zip(("V7:V1", "V7:V2"), ps.radial, (ps.v1, ps.v2)):
         worst, node = _worst(grid, -rad)
         nonneg_ok = worst <= tiny
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -345,7 +352,7 @@ def _check_radial(ps, grid) -> list[AssumptionCheck]:
                 f"smallest admissible C = {c_const:.12g} ({path})",
             )
         )
-    rad, path = ps.defs[2].radial_derivative(coords, grid.spacing)
+    rad, path = ps.radial[2]
     worst, node = _worst(grid, rad)
     sign_ok = worst <= tiny
     lam_abs = np.abs(ps.lam)
@@ -452,6 +459,9 @@ def estimate_nu(ps: PotentialSet, grid: Grid | None = None) -> tuple[float, floa
 
 
 def _smallest_eig(v: np.ndarray, grid: Grid) -> float:
+    # scipy loads here, so that importing csgs does not pay for it
+    from scipy.sparse.linalg import LinearOperator, cg
+
     n = grid.num_nodes
     shift = 1.0  # operator is PSD for validated V, so A + shift is definite
 

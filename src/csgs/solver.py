@@ -14,7 +14,6 @@ for recovering compactness by translations.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import astuple, dataclass, field, fields
 
@@ -93,9 +92,7 @@ class SolveReport:
     grad_trace: list[float]
     recenters_applied: int
     converged: bool
-    spec_hash: str
-    potential_hash: str
-    grid_hash: str
+    spec: ProblemSpec
     field_norm_e_sq: float
     failure: str | None = None
 
@@ -138,25 +135,6 @@ class ComparisonReport:
     def rows(self) -> list[tuple]:
         """CSV rows: the field names, then their values."""
         return [tuple(f.name for f in fields(self)), astuple(self)]
-
-
-def hash_grid(grid: Grid) -> str:
-    s = grid.spec
-    payload = f"{s.dim}|{s.half_width!r}|{s.points_per_dim}|{s.boundary}|{s.laplacian_mode}"
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def hash_spec(spec: ProblemSpec) -> str:
-    payload = f"{spec.dim}|{spec.p!r}|{spec.q!r}|{spec.mu!r}"
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def hash_potentials(ps: PotentialSet) -> str:
-    h = hashlib.sha256()
-    for arr in (ps.v1, ps.v2, ps.lam):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    h.update(repr(ps.delta).encode())
-    return h.hexdigest()[:16]
 
 
 def initial_pair(grid: Grid, opts: SolveOptions, init_field: FieldPair | None = None) -> FieldPair:
@@ -231,9 +209,7 @@ def _failed_report(
         grad_trace=[gn],
         recenters_applied=0,
         converged=False,
-        spec_hash=hash_spec(spec),
-        potential_hash=hash_potentials(ps),
-        grid_hash=hash_grid(grid),
+        spec=spec,
         field_norm_e_sq=float(inv.norm_e_sq),
         failure=msg,
     )
@@ -391,9 +367,7 @@ def minimize_ground_state(
         grad_trace=grad_trace,
         recenters_applied=recenters,
         converged=converged,
-        spec_hash=hash_spec(spec),
-        potential_hash=hash_potentials(ps),
-        grid_hash=hash_grid(grid),
+        spec=spec,
         field_norm_e_sq=float(inv.norm_e_sq),
         failure=None if converged else "stagnated" if stagnated else "budget",
     )
@@ -434,9 +408,7 @@ def nonneg_refine(
         grad_trace=polished.grad_trace + [gn],
         recenters_applied=polished.recenters_applied,
         converged=polished.converged,
-        spec_hash=polished.spec_hash,
-        potential_hash=polished.potential_hash,
-        grid_hash=polished.grid_hash,
+        spec=polished.spec,
         field_norm_e_sq=float(inv_fp.norm_e_sq),
         failure=polished.failure,
     )
@@ -457,12 +429,17 @@ def aubin_talenti_bubble(grid: Grid, scale: float = 1.0) -> np.ndarray:
     return (3.0 * s2) ** 0.25 / np.sqrt(s2 + grid.radius_sq)
 
 
+def _quotient_parts(f: np.ndarray, grid: Grid) -> tuple[float, float]:
+    """(integral of f (-Lap f), integral of f^6); the quotient is num / den6^(1/3)."""
+    return integrate(f * (-apply_laplacian(f, grid)), grid), integrate(f**6, grid)
+
+
 def sobolev_quotient(f: np.ndarray, grid: Grid) -> float:
     """Rayleigh quotient |grad f|_2^2 / |f|_6^2 under the grid quadrature."""
     if grid.spec.dim != 3:
         raise GridMismatchError("the Sobolev quotient is computed for d = 3")
-    num = integrate(f * (-apply_laplacian(f, grid)), grid)
-    den = integrate(f**6, grid) ** (1.0 / 3.0)
+    num, den6 = _quotient_parts(f, grid)
+    den = den6 ** (1.0 / 3.0)
     if den <= 0.0:
         raise ZeroFieldError("Sobolev quotient of the zero field")
     return float(num / den)
@@ -500,8 +477,7 @@ def estimate_sobolev_constant(grid: Grid, *, search_radius: float = 0.01) -> flo
     anchor = aubin_talenti_bubble(grid)
     cap = search_radius * np.sqrt(integrate(anchor * anchor, grid))
     u = anchor.copy()
-    num = integrate(u * (-apply_laplacian(u, grid)), grid)
-    den6 = integrate(u**6, grid)
+    num, den6 = _quotient_parts(u, grid)
     quot = num / den6 ** (1.0 / 3.0)
 
     step = 1.0
@@ -547,8 +523,7 @@ def estimate_sobolev_constant(grid: Grid, *, search_radius: float = 0.01) -> flo
         s = step
         for _ in range(60):
             cand = clip_to_ball(u - s * direction)
-            num_c = integrate(cand * (-apply_laplacian(cand, grid)), grid)
-            den6_c = integrate(cand**6, grid)
+            num_c, den6_c = _quotient_parts(cand, grid)
             if den6_c > 0.0:
                 quot_c = num_c / den6_c ** (1.0 / 3.0)
                 if np.isfinite(quot_c) and quot_c < quot - 1e-12 * max(1.0, abs(quot)):
@@ -647,9 +622,9 @@ def compare_energies(
     The gap must exceed ``margin`` by a slack of 1e-9 relative to the larger
     energy (absolute below magnitude 1), so rounding noise never passes.
     """
-    if report_periodic.grid_hash != report_asym.grid_hash:
+    if report_periodic.field.grid.spec != report_asym.field.grid.spec:
         raise GridMismatchError("comparison requires reports from the same grid")
-    if report_periodic.spec_hash != report_asym.spec_hash:
+    if report_periodic.spec != report_asym.spec:
         raise GridMismatchError("comparison requires reports with identical exponents and mu")
     gap = report_periodic.energy - report_asym.energy
     slack = 1e-9 * max(1.0, abs(report_periodic.energy), abs(report_asym.energy))

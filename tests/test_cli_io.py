@@ -8,11 +8,13 @@ import pytest
 import csgs.fieldio
 from csgs import (
     ComparisonReport,
+    FieldPair,
     GridSpec,
     MuSweep,
     NonexistenceReport,
     PohozaevReport,
     PotentialDef,
+    ProblemSpec,
     SolveReport,
     ValidationReport,
     build_grid,
@@ -239,7 +241,7 @@ class TestFieldFile:
 def _solve_report(energy_trace, grad_trace):
     return SolveReport(
         None, energy_trace[-1], grad_trace[-1], len(energy_trace) - 1, energy_trace,
-        grad_trace, 0, True, "", "", "", 1.0,
+        grad_trace, 0, True, ProblemSpec(1, 4.0, 4.0, 1.0), 1.0,
     )
 
 
@@ -403,6 +405,25 @@ class TestCli:
         assert code == 1
         assert "solver.armijo_factor" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_pohozaev_samples_each_radial_derivative_once(self, tmp_path, grid_3d_small, monkeypatch):
+        # a strictly positive candidate runs the residual, the validation and the certificate
+        trial = np.exp(-grid_3d_small.radius_sq)
+        field = tmp_path / "candidate.csgs"
+        write_field(FieldPair(trial, 0.5 * trial + 0.1, grid_3d_small), field)
+        cfg = self._write(tmp_path, MODEL_PAIR_CFG + f"\n[pohozaev]\nfield = {field}\n")
+        sampled = []
+        inner = PotentialDef.radial_derivative
+
+        def counting(self, coords, spacing):
+            sampled.append(self.params)
+            return inner(self, coords, spacing)
+
+        monkeypatch.setattr(PotentialDef, "radial_derivative", counting)
+        out = tmp_path / "out"
+        assert run_cli(["pohozaev", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "nonexistence.csv").exists()
+        assert sampled == [(0.5,), (0.5,), (-0.25,)]
 
     def test_validation_failure_exit2(self, tmp_path):
         bad = BASE_CFG.replace("value = 0.3", "value = 2.0")  # coupling above the bound

@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csgs
 from csgs import (
     GridSpec,
     PotentialDef,
@@ -269,3 +273,14 @@ class TestEstimateNu:
         ps = sample_potentials((CONST(vals), CONST(1.0), CONST(0.0)), 0.5, grid_1d)
         nu1, nu2 = estimate_nu(ps)
         assert nu1 >= -1e-12 and nu2 >= -1e-12
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only estimate_nu, which imports it on first call
+    src = str(Path(csgs.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import csgs; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,4 @@
-"""Property-based checks of the grid and functional invariants.
+"""Property-based checks of the grid, functional and config invariants.
 
 Examples are drawn by Hypothesis under the derandomized profile registered
 in ``conftest.py``, so every run checks the same cases.
@@ -22,7 +22,10 @@ from csgs import (
     sample_potentials,
     translate_lattice,
 )
+from csgs.config import canonical_config, parse_config
 from csgs.functional import pair_inner
+from csgs.potentials import KIND_PARAMS, VALIDATION_MODES
+from csgs.solver import INIT_MODES
 
 from conftest import random_pair
 
@@ -87,3 +90,81 @@ def test_lp_integral_is_bit_identical_under_lattice_shifts(case, seed, p):
     g = build_grid(spec)
     f = random_pair(g, seed).u
     assert lp_integral(translate_lattice(f, shift, g), p, g) == lp_integral(f, p, g)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+PATHS = st.from_regex(r"[A-Za-z0-9_./-]{1,16}", fullmatch=True)
+
+
+def _optional(draw, keys):
+    """``key = value`` lines for a drawn subset of the optional keys."""
+    return "".join(f"{k} = {draw(v)}\n" for k, v in keys.items() if draw(st.booleans()))
+
+
+@st.composite
+def potential_sections(draw, prefix):
+    text = ""
+    for name in ("v1", "v2", "lambda"):
+        kind = draw(st.sampled_from(sorted(KIND_PARAMS)))
+        text += f"[{prefix}.{name}]\nkind = {kind}\n"
+        for param in KIND_PARAMS[kind]:
+            text += f"{param} = {draw(POSITIVE if param == 'sigma' else FINITE)!r}\n"
+    return text
+
+
+@st.composite
+def config_texts(draw):
+    """Valid config documents over every key range and optional section."""
+    dim = draw(st.integers(1, 3))
+    boundary, mode = draw(st.sampled_from(KINDS))
+    text = f"[grid]\ndim = {dim}\nhalf_width = {draw(POSITIVE)!r}\n"
+    text += f"points_per_dim = {2 * draw(st.integers(2, 64))}\n"
+    if (boundary, mode) != ("periodic", "spectral") or draw(st.booleans()):
+        text += f"boundary = {boundary}\nlaplacian = {mode}\n"
+
+    q_max = 6.0 if dim == 3 else 1e3
+    p = draw(st.floats(min_value=2.0, max_value=q_max, exclude_min=True))
+    q = draw(st.floats(min_value=p, max_value=q_max))
+    mu = draw(st.floats(min_value=0.0, max_value=1e6))
+    text += f"[problem]\np = {p!r}\nq = {q!r}\nmu = {mu!r}\n"
+
+    delta = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    text += f"[potentials]\ndelta = {delta!r}\n"
+    text += _optional(draw, {"mode": st.sampled_from(VALIDATION_MODES),
+                             "tail_tol": POSITIVE.map(repr)})
+    text += draw(potential_sections("potential"))
+    if draw(st.booleans()):
+        text += draw(potential_sections("reference"))
+
+    if draw(st.booleans()):
+        text += "[solver]\n" + _optional(draw, {
+            "max_iters": st.integers(0, 10**6),
+            "grad_tol": POSITIVE.map(repr),
+            "recenter_every": st.integers(0, 1000),
+            "seed": st.integers(-(2**31), 2**31),
+            "init": st.sampled_from(INIT_MODES),
+            "init_file": PATHS,
+        })
+    if draw(st.booleans()):
+        mus = sorted(draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=5, unique=True)))
+        text += "[sweep]\nmu_values = " + ", ".join(repr(m) for m in mus) + "\n"
+    if draw(st.booleans()):
+        field = draw(st.none() | PATHS)
+        bubble = field is None or draw(st.booleans())  # the section needs one of the two
+        text += "[pohozaev]\n" + ("" if field is None else f"field = {field}\n")
+        if bubble or draw(st.booleans()):
+            text += f"bubble = {str(bubble).lower()}\n"
+        text += _optional(draw, {"bubble_scale": POSITIVE.map(repr)})
+    if draw(st.booleans()):
+        text += "[output]\n" + _optional(draw, {"dir": PATHS})
+    return text
+
+
+@given(text=config_texts())
+def test_config_parse_serialize_parse_is_idempotent(text):
+    cfg = parse_config(text)
+    canon = canonical_config(cfg)
+    again = parse_config(canon)
+    assert again == cfg
+    assert canonical_config(again) == canon

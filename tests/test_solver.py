@@ -26,7 +26,6 @@ from csgs import (
 )
 from csgs.errors import GridMismatchError
 from csgs.grid import apply_laplacian
-from csgs.solver import hash_grid, hash_potentials, hash_spec
 
 CONST = PotentialDef.constant
 QUICK = SolveOptions(max_iters=4000)
@@ -354,6 +353,12 @@ class TestCompare:
         with pytest.raises(GridMismatchError):
             compare_energies(r_per, other)
 
+    def test_spec_mismatch_rejected(self, pair_reports):
+        r_per, r_asym = pair_reports
+        other_mu = replace(r_asym, spec=r_asym.spec.with_mu(2.0))
+        with pytest.raises(GridMismatchError, match="mu"):
+            compare_energies(r_per, other_mu)
+
 
 class TestRoundingFloor:
     """One descent loop: at the rounding floor of the energy the line search
@@ -390,12 +395,3 @@ class TestNeutrality:
         r2 = minimize_ground_state(ps, spec, g, QUICK, init_field=base.scaled(-1.0))
         assert abs(r0.energy - r1.energy) <= 1e-8
         assert abs(r0.energy - r2.energy) <= 1e-8
-
-
-class TestHashes:
-    def test_hash_stability_and_sensitivity(self, setup_1d):
-        g, ps, spec = setup_1d
-        assert hash_grid(g) == hash_grid(g)
-        assert hash_spec(spec) != hash_spec(spec.with_mu(2.0))
-        other = sample_potentials((CONST(1.0), CONST(1.0), CONST(0.2)), 0.3, g)
-        assert hash_potentials(ps) != hash_potentials(other)
