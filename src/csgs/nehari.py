@@ -83,12 +83,13 @@ def fibering_scale_from_invariants(inv: PairInvariants, spec: ProblemSpec) -> Fi
                     break
     bracket = (lo, hi)
 
-    # safeguarded Newton with bisection fallback
+    # safeguarded Newton with bisection fallback; the tolerance is relative
+    # to B, so a common factor on (B, a, b) leaves the root where it was
     t = np.sqrt(lo * hi) if phi1 != 0.0 else 1.0
     phi_t = _phi(t, a, b, p, q, quad)
+    tol = 1e-12 * quad
     iterations = 0
     for iterations in range(1, 201):
-        tol = 1e-12 * max(quad, 1.0 / (t * t))
         if abs(phi_t) <= tol:
             break
         if phi_t > 0.0:

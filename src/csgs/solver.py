@@ -429,16 +429,17 @@ def aubin_talenti_bubble(grid: Grid, scale: float = 1.0) -> np.ndarray:
     return (3.0 * s2) ** 0.25 / np.sqrt(s2 + grid.radius_sq)
 
 
-def _quotient_parts(f: np.ndarray, grid: Grid) -> tuple[float, float]:
-    """(integral of f (-Lap f), integral of f^6); the quotient is num / den6^(1/3)."""
-    return integrate(f * (-apply_laplacian(f, grid)), grid), integrate(f**6, grid)
+def _quotient_parts(f: np.ndarray, grid: Grid) -> tuple[float, float, np.ndarray]:
+    """(integral of f (-Lap f), integral of f^6, Lap f); the quotient is num / den6^(1/3)."""
+    lap = apply_laplacian(f, grid)
+    return integrate(f * (-lap), grid), integrate(f**6, grid), lap
 
 
 def sobolev_quotient(f: np.ndarray, grid: Grid) -> float:
     """Rayleigh quotient |grad f|_2^2 / |f|_6^2 under the grid quadrature."""
     if grid.spec.dim != 3:
         raise GridMismatchError("the Sobolev quotient is computed for d = 3")
-    num, den6 = _quotient_parts(f, grid)
+    num, den6, _ = _quotient_parts(f, grid)
     den = den6 ** (1.0 / 3.0)
     if den <= 0.0:
         raise ZeroFieldError("Sobolev quotient of the zero field")
@@ -463,9 +464,14 @@ def estimate_sobolev_constant(grid: Grid, *, search_radius: float = 0.01) -> flo
     below the sampled bubble's quotient.
 
     The polish stops when the preconditioned slope is at most
-    ``1e-8 max(1, quotient)``, or when no step inside the ball (60 halvings)
-    lowers the quotient by ``1e-12`` relative; it raises
-    :class:`ConvergenceError` after 400 iterations.
+    ``1e-8 max(1, quotient)``.  On the ball's wall, where a step that points
+    out of the ball is clipped back onto it, the slope tested is that of
+    the step's tangential part; a constrained minimum on the wall therefore
+    stops the polish at once.  It also stops when no step inside the ball
+    (60 halvings) lowers the quotient by ``1e-12`` relative, and raises
+    :class:`ConvergenceError` after 400 iterations.  Each quotient
+    evaluation applies one Laplacian, which the next iteration's gradient
+    reuses.
     """
     if grid.spec.dim != 3:
         raise GridMismatchError("Sobolev constant estimation requires d = 3")
@@ -477,21 +483,23 @@ def estimate_sobolev_constant(grid: Grid, *, search_radius: float = 0.01) -> flo
     anchor = aubin_talenti_bubble(grid)
     cap = search_radius * np.sqrt(integrate(anchor * anchor, grid))
     u = anchor.copy()
-    num, den6 = _quotient_parts(u, grid)
+    num, den6, lap = _quotient_parts(u, grid)
     quot = num / den6 ** (1.0 / 3.0)
+    on_wall = False
 
     step = 1.0
 
     def clip_to_ball(f):
+        """The nearest point of the ball, and whether it lies on the wall."""
         w = f - anchor
         wn = np.sqrt(max(integrate(w * w, grid), 0.0))
         if wn > cap:
-            return anchor + w * (cap / wn)
-        return f
+            return anchor + w * (cap / wn), True
+        return f, False
 
     for _ in range(400):
         den2 = den6 ** (1.0 / 3.0)
-        raw = (2.0 / den2) * ((-apply_laplacian(u, grid)) - (num / den6) * u**5)
+        raw = (2.0 / den2) * ((-lap) - (num / den6) * u**5)
 
         partials = spectral_partials(u, grid)
         degenerate = [
@@ -516,14 +524,19 @@ def estimate_sobolev_constant(grid: Grid, *, search_radius: float = 0.01) -> flo
             direction = direction - integrate(direction * b, grid) * b
 
         slope = integrate(direction * raw, grid)
+        if on_wall:
+            normal = (u - anchor) / cap
+            outward = integrate(direction * normal, grid)
+            if outward < 0.0:  # the step leaves the ball: only its tangential part is feasible
+                slope -= outward * integrate(normal * raw, grid)
         if slope <= 1e-8 * max(1.0, quot):
             return float(quot)
 
         accepted = False
         s = step
         for _ in range(60):
-            cand = clip_to_ball(u - s * direction)
-            num_c, den6_c = _quotient_parts(cand, grid)
+            cand, clipped = clip_to_ball(u - s * direction)
+            num_c, den6_c, lap_c = _quotient_parts(cand, grid)
             if den6_c > 0.0:
                 quot_c = num_c / den6_c ** (1.0 / 3.0)
                 if np.isfinite(quot_c) and quot_c < quot - 1e-12 * max(1.0, abs(quot)):
@@ -532,7 +545,7 @@ def estimate_sobolev_constant(grid: Grid, *, search_radius: float = 0.01) -> flo
             s *= 0.5
         if not accepted:
             return float(quot)  # constrained stationarity: no feasible descent
-        u, num, den6, quot = cand, num_c, den6_c, quot_c
+        u, num, den6, quot, lap, on_wall = cand, num_c, den6_c, quot_c, lap_c, clipped
         step = min(s * 2.0, 1e3)
 
     raise ConvergenceError("Sobolev polish still descending after 400 iterations")

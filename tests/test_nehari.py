@@ -59,6 +59,16 @@ class TestFiberingScale:
         diag = fibering_scale_from_invariants(inv, spec)
         assert diag.t_mu == pytest.approx((np.sqrt(5.0) - 1.0) / 2.0, abs=1e-10)
 
+    @pytest.mark.parametrize("c", [1e-16, 1e-12, 1.0, 1e12])
+    def test_common_factor_leaves_root(self, c):
+        # phi(t) = t^2 0.7c + t^4 0.3c - 2c has the same root for every c > 0
+        spec = ProblemSpec(3, 4.0, 6.0, 1.0)
+
+        def root(c):
+            inv = PairInvariants(quad=2.0 * c, coupling=0.0, pnorm_mu=0.7 * c, qnorm=0.3 * c)
+            return fibering_scale_from_invariants(inv, spec).t_mu
+        assert abs(root(c) - root(1.0)) <= 1e-12 * root(1.0)
+
     def test_against_scalar_root_oracle(self, setup):
         g, ps, _ = setup
         spec = ProblemSpec(1, 2.7, 5.3, 0.8)

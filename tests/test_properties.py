@@ -1,8 +1,11 @@
-"""Property-based checks of the grid, functional and config invariants.
+"""Property-based checks of the grid, functional, fibering, field-file and config invariants.
 
 Examples are drawn by Hypothesis under the derandomized profile registered
 in ``conftest.py``, so every run checks the same cases.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given
@@ -19,11 +22,14 @@ from csgs import (
     energy_gradient,
     integrate,
     lp_integral,
+    read_field,
     sample_potentials,
     translate_lattice,
+    write_field,
 )
 from csgs.config import canonical_config, parse_config
-from csgs.functional import pair_inner
+from csgs.functional import PairInvariants, pair_inner
+from csgs.nehari import fibering_scale_from_invariants
 from csgs.potentials import KIND_PARAMS, VALIDATION_MODES
 from csgs.solver import INIT_MODES
 
@@ -90,6 +96,29 @@ def test_lp_integral_is_bit_identical_under_lattice_shifts(case, seed, p):
     g = build_grid(spec)
     f = random_pair(g, seed).u
     assert lp_integral(translate_lattice(f, shift, g), p, g) == lp_integral(f, p, g)
+
+
+@given(spec=grid_specs(), seed=st.integers(0, 2**16))
+def test_field_file_round_trip_is_bit_identical(spec, seed):
+    fp = random_pair(build_grid(spec), seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pair.csgs"
+        write_field(fp, path)
+        back = read_field(path, build_grid(spec))
+    assert back.grid.spec == spec
+    assert back.u.tobytes() == fp.u.tobytes()
+    assert back.v.tobytes() == fp.v.tobytes()
+
+
+SCALES = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
+
+
+@given(quad=SCALES, a=SCALES, b=SCALES, pq=st.sampled_from([(4.0, 4.0), (4.0, 6.0), (2.5, 6.0)]))
+def test_fibering_root_satisfies_the_constraint(quad, a, b, pq):
+    spec = ProblemSpec(3, *pq, 1.0)
+    inv = PairInvariants(quad=quad, coupling=0.0, pnorm_mu=a, qnorm=b)
+    t = fibering_scale_from_invariants(inv, spec).t_mu
+    assert abs(inv.constraint_at(t, spec)) <= 1e-9 * t * t * quad
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

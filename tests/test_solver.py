@@ -272,6 +272,41 @@ class TestSobolev:
         with pytest.raises(GridMismatchError):
             estimate_sobolev_constant(grid_1d)
 
+    @pytest.mark.parametrize(
+        "mode, half_width, n, radius, expected",
+        [
+            ("fd2", 8.0, 32, 0.01, "0x1.18deac73d41ddp+2"),
+            ("fd2", 8.0, 32, 0.005, "0x1.1b2e9e40bb1c6p+2"),
+            ("fd2", 8.0, 32, 0.02, "0x1.1442c1cab2571p+2"),
+            ("spectral", 6.0, 24, 0.01, "0x1.090ba356b9ef6p+2"),
+        ],
+    )
+    def test_pinned_estimates(self, mode, half_width, n, radius, expected):
+        """Estimates pinned to the last bit: a stopping rule that ends the polish elsewhere moves them."""
+        g = build_grid(GridSpec(3, half_width, n, "periodic", mode))
+        assert estimate_sobolev_constant(g, search_radius=radius).hex() == expected
+
+    def test_one_laplacian_per_quotient_evaluation(self, monkeypatch):
+        import csgs.solver
+
+        g = build_grid(GridSpec(3, 8.0, 32, "periodic", "fd2"))
+        laplacians, quotients = [], []
+        parts = csgs.solver._quotient_parts
+
+        def counted_laplacian(f, grid):
+            laplacians.append(1)
+            return apply_laplacian(f, grid)
+
+        def counted_parts(f, grid):
+            quotients.append(1)
+            return parts(f, grid)
+
+        monkeypatch.setattr(csgs.solver, "apply_laplacian", counted_laplacian)
+        monkeypatch.setattr(csgs.solver, "_quotient_parts", counted_parts)
+        estimate_sobolev_constant(g)
+        # the start and three accepted trials; the last iteration stops on the wall slope
+        assert len(laplacians) == len(quotients) == 4
+
 
 class TestSweep:
     def test_monotone_subcritical(self, setup_1d):
