@@ -113,6 +113,11 @@ def _cmd_solve(cfg: RunConfig, grid: Grid, out: Path) -> int:
 def _cmd_sweep(cfg: RunConfig, grid: Grid, out: Path) -> int:
     if cfg.mu_values is None:
         raise ConfigError("sweep command requires a [sweep] section with mu_values")
+    if cfg.solver.init == "file":
+        raise ConfigError(
+            "sweep command does not read solver.init_file; set solver.init to "
+            "gaussian-bump or random"
+        )
     code, (ps, _, rep_val) = _validate(cfg, grid, out, compute_nu=False)
     if code != EXIT_OK:
         _print_validation(rep_val)

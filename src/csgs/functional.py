@@ -202,4 +202,4 @@ def pair_inner(a: FieldPair, b: FieldPair, grid: Grid) -> float:
 
 
 def pair_norm_l2(a: FieldPair, grid: Grid) -> float:
-    return float(np.sqrt(max(pair_inner(a, a, grid), 0.0)))
+    return math.sqrt(max(pair_inner(a, a, grid), 0.0))

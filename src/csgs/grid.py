@@ -81,6 +81,7 @@ class Grid:
         self.spacing = 2.0 * spec.half_width / spec.points_per_dim
         self.shape = (spec.points_per_dim,) * spec.dim
         self.num_nodes = spec.points_per_dim**spec.dim
+        self.cell_volume = self.spacing**spec.dim  # the quadrature weight h^d
         # nodes at -L + k h per axis
         self.axis_coords = -spec.half_width + self.spacing * np.arange(
             spec.points_per_dim, dtype=float
@@ -152,7 +153,7 @@ def integrate(f: np.ndarray, grid: Grid) -> float:
     the order-canonical variant used for translation-invariant norms.
     """
     grid.check_conforms(f)
-    return float(grid.spacing**grid.spec.dim * np.sum(f))
+    return float(grid.cell_volume * np.add.reduce(f, axis=None))
 
 
 def _whole_power(a: np.ndarray, k: int) -> np.ndarray:
@@ -175,7 +176,22 @@ def lp_integral(f: np.ndarray, p: float, grid: Grid) -> float:
     with np.errstate(over="ignore"):
         vals = np.abs(f, dtype=float).ravel()
         vals = _whole_power(vals, int(p)) if float(p).is_integer() and p >= 1 else vals**p
-        return float(grid.spacing**grid.spec.dim * np.sum(np.sort(vals)))
+        return float(grid.cell_volume * np.add.reduce(np.sort(vals)))
+
+
+def _forward(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """``np.fft.rfftn`` over every axis, one axis at a time as rfftn does it."""
+    fh = np.fft.rfft(f, axis=grid.spec.dim - 1)
+    for ax in range(grid.spec.dim - 2, -1, -1):
+        fh = np.fft.fft(fh, axis=ax)
+    return fh
+
+
+def _inverse(fh: np.ndarray, grid: Grid) -> np.ndarray:
+    """``np.fft.irfftn`` back to the grid's shape, one axis at a time as irfftn does it."""
+    for ax in range(grid.spec.dim - 1):
+        fh = np.fft.ifft(fh, axis=ax)
+    return np.fft.irfft(fh, grid.spec.points_per_dim, axis=grid.spec.dim - 1)
 
 
 def apply_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -188,10 +204,9 @@ def apply_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     grid.check_conforms(f)
     d = grid.spec.dim
     if grid.spec.laplacian_mode == "spectral":
-        axes = tuple(range(d))
-        fh = np.fft.rfftn(f, axes=axes)
+        fh = _forward(f, grid)
         fh *= grid._lap_multiplier
-        return np.fft.irfftn(fh, s=grid.shape, axes=axes)
+        return _inverse(fh, grid)
     padded = np.pad(f, 1, mode="wrap" if grid.is_periodic else "constant")
     out = -2.0 * d * f
     for ax in range(d):
@@ -213,9 +228,7 @@ def shifted_inverse(f: np.ndarray, shift: float, grid: Grid) -> np.ndarray:
     grid.check_conforms(f)
     if not grid.is_periodic:
         raise GridMismatchError("the Fourier-diagonal inverse requires a periodic grid")
-    axes = tuple(range(grid.spec.dim))
-    fh = np.fft.rfftn(f, axes=axes)
-    return np.fft.irfftn(fh / (shift - grid._lap_multiplier), s=grid.shape, axes=axes)
+    return _inverse(_forward(f, grid) / (shift - grid._lap_multiplier), grid)
 
 
 def spectral_partials(f: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
@@ -223,13 +236,12 @@ def spectral_partials(f: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
     grid.check_conforms(f)
     if not grid.is_periodic:
         raise GridMismatchError("spectral differentiation requires a periodic grid")
-    axes = tuple(range(grid.spec.dim))
-    fh = np.fft.rfftn(f, axes=axes)
+    fh = _forward(f, grid)
     nyquist = np.pi / grid.spacing
     out = []
     for k in grid._rfft_wavenumbers:
         kd = np.where(np.abs(k) >= nyquist * (1.0 - 1e-12), 0.0, k)
-        out.append(np.fft.irfftn(1j * kd * fh, s=grid.shape, axes=axes))
+        out.append(_inverse(1j * kd * fh, grid))
     return tuple(out)
 
 

@@ -11,9 +11,8 @@ which is strictly increasing for t > 0 because p, q > 2.  The projection
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     ConvergenceError,
@@ -37,12 +36,9 @@ class FiberingDiagnostics:
     residual: float        # |phi(t_mu)|
 
 
-def _phi(t: float, a: float, b: float, p: float, q: float, quad: float) -> float:
-    return t ** (p - 2.0) * a + t ** (q - 2.0) * b - quad
-
-
-def _phi_prime(t: float, a: float, b: float, p: float, q: float) -> float:
-    return (p - 2.0) * t ** (p - 3.0) * a + (q - 2.0) * t ** (q - 3.0) * b
+def _phi(t: float, a: float, b: float, ep: float, eq: float, quad: float) -> float:
+    """phi(t), with ep = p - 2 and eq = q - 2."""
+    return t**ep * a + t**eq * b - quad
 
 
 def fibering_scale_from_invariants(inv: PairInvariants, spec: ProblemSpec) -> FiberingDiagnostics:
@@ -57,36 +53,38 @@ def fibering_scale_from_invariants(inv: PairInvariants, spec: ProblemSpec) -> Fi
         raise NonpositiveQuadraticFormError(
             f"quadratic form B = {quad} is not positive; potentials likely unvalidated"
         )
-    p, q = spec.p, spec.q
+    ep, eq = spec.p - 2.0, spec.q - 2.0
 
     # bracket the root starting from [1, 1], expanding by factor 4 in the
     # deficient direction; phi is monotone so this terminates
     lo = hi = 1.0
-    phi1 = _phi(1.0, a, b, p, q, quad)
+    phi1 = _phi(1.0, a, b, ep, eq, quad)
     if phi1 == 0.0:
         lo, hi = 0.25, 4.0
     elif phi1 > 0.0:
-        while _phi(lo, a, b, p, q, quad) > 0.0:
+        lo = 0.25
+        while _phi(lo, a, b, ep, eq, quad) > 0.0:
             lo *= 0.25
             if lo < 1e-300:
                 raise ConvergenceError("fibering bracket collapsed toward zero")
     else:
-        with np.errstate(over="ignore"):
-            while _phi(hi, a, b, p, q, quad) < 0.0:
-                hi *= 4.0
-                if not np.isfinite(hi) or hi > 1e300:
-                    # certified analytic cap: phi >= 0 once either term reaches B
-                    hi = min(
-                        (quad / a) ** (1.0 / (p - 2.0)) if a > 0 else np.inf,
-                        (quad / b) ** (1.0 / (q - 2.0)) if b > 0 else np.inf,
-                    )
-                    break
+        hi = 4.0
+        while _phi(hi, a, b, ep, eq, quad) < 0.0:
+            hi *= 4.0
+            if not math.isfinite(hi) or hi > 1e300:
+                # certified analytic cap: phi >= 0 once either term reaches B
+                hi = min(
+                    (quad / a) ** (1.0 / ep) if a > 0 else math.inf,
+                    (quad / b) ** (1.0 / eq) if b > 0 else math.inf,
+                )
+                break
     bracket = (lo, hi)
 
     # safeguarded Newton with bisection fallback; the tolerance is relative
     # to B, so a common factor on (B, a, b) leaves the root where it was
-    t = np.sqrt(lo * hi) if phi1 != 0.0 else 1.0
-    phi_t = _phi(t, a, b, p, q, quad)
+    dp, dq = spec.p - 3.0, spec.q - 3.0  # the exponents of phi'
+    t = math.sqrt(lo * hi) if phi1 != 0.0 else 1.0
+    phi_t = _phi(t, a, b, ep, eq, quad)
     tol = 1e-12 * quad
     iterations = 0
     for iterations in range(1, 201):
@@ -96,14 +94,14 @@ def fibering_scale_from_invariants(inv: PairInvariants, spec: ProblemSpec) -> Fi
             hi = t
         else:
             lo = t
-        dphi = _phi_prime(t, a, b, p, q)
+        dphi = ep * t**dp * a + eq * t**dq * b
         t_new = t - phi_t / dphi if dphi > 0.0 else 0.5 * (lo + hi)
         if not lo < t_new < hi:
             t_new = 0.5 * (lo + hi)
         if t_new == t:
             break
         t = t_new
-        phi_t = _phi(t, a, b, p, q, quad)
+        phi_t = _phi(t, a, b, ep, eq, quad)
     else:
         raise ConvergenceError("fibering root-finder exhausted its iteration budget")
 

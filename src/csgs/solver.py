@@ -95,6 +95,7 @@ class SolveReport:
     spec: ProblemSpec
     field_norm_e_sq: float
     failure: str | None = None
+    gradient_evals: int = 0  # energy_gradient evaluations, rejected floor trials included
 
     def rows(self) -> list[tuple]:
         """CSV rows: the header, then (iter, energy, grad_norm) per traced step."""
@@ -179,7 +180,7 @@ def _trial(fp: FieldPair, s: float, direction: FieldPair, ps: PotentialSet, spec
     lap = (fp.lap[0] - s * direction.lap[0], fp.lap[1] - s * direction.lap[1])
     cand = FieldPair(fp.u - s * direction.u, fp.v - s * direction.v, fp.grid, lap)
     inv = pair_invariants(cand, ps, spec, fp.grid)
-    if not np.all(np.isfinite([inv.quad, inv.coupling, inv.pnorm_mu, inv.qnorm])):
+    if not all(map(math.isfinite, (inv.quad, inv.coupling, inv.pnorm_mu, inv.qnorm))):
         raise NonFiniteEnergyError("trial invariants overflow")
     return _project(cand, inv, spec)
 
@@ -212,6 +213,7 @@ def _failed_report(
         spec=spec,
         field_norm_e_sq=float(inv.norm_e_sq),
         failure=msg,
+        gradient_evals=1,
     )
 
 
@@ -248,10 +250,11 @@ def minimize_ground_state(
         fp, inv, e_cur = _project(fp0, inv0, spec)
     except _PROJECTION_ERRORS as exc:
         return _failed_report(start, ps, spec, grid, f"initial projection failed: {exc}")
-    if not np.isfinite(e_cur):
+    if not math.isfinite(e_cur):
         raise NonFiniteEnergyError("initial projected energy is not finite")
 
     grad = energy_gradient(fp, ps, spec, grid)
+    grad_evals = 1
     gnorm = pair_norm_l2(grad, grid)
     energy_trace = [float(e_cur)]
     grad_trace = [gnorm]
@@ -280,7 +283,7 @@ def minimize_ground_state(
         for _ in range(60):
             try:
                 cand_p, inv_p, e_new = _trial(fp, s, grad, ps, spec)
-                if not np.isfinite(e_new):
+                if not math.isfinite(e_new):
                     raise NonFiniteEnergyError("trial energy is not finite")
             except (*_PROJECTION_ERRORS, NonFiniteEnergyError):
                 s *= _BACKTRACK
@@ -296,6 +299,7 @@ def minimize_ground_state(
                 break
             if at_floor and e_new <= energy_trace[-1] + 32.0 * _EPS * e_scale:
                 grad_trial = energy_gradient(cand_p, ps, spec, grid)
+                grad_evals += 1
                 if pair_norm_l2(grad_trial, grid) < gnorm:
                     grad_new = grad_trial
                     break
@@ -328,6 +332,7 @@ def minimize_ground_state(
 
         if recentered or grad_new is None:
             grad_new = energy_gradient(cand_p, ps, spec, grid)
+            grad_evals += 1
 
         if recentered:
             step = _STEP0
@@ -344,8 +349,8 @@ def minimize_ground_state(
             else:
                 num = integrate(du * dgu + dv * dgv, grid)
                 den = integrate(dgu * dgu + dgv * dgv, grid)
-            if np.isfinite(den) and den > 0.0 and np.isfinite(num) and num > 0.0:
-                step = float(np.clip(num / den, 1e-12, 1e10))
+            if math.isfinite(den) and den > 0.0 and math.isfinite(num) and num > 0.0:
+                step = min(max(num / den, 1e-12), 1e10)
             else:
                 step = min(s * 2.0, _STEP0)
 
@@ -370,6 +375,7 @@ def minimize_ground_state(
         spec=spec,
         field_norm_e_sq=float(inv.norm_e_sq),
         failure=None if converged else "stagnated" if stagnated else "budget",
+        gradient_evals=grad_evals,
     )
 
 
@@ -411,6 +417,7 @@ def nonneg_refine(
         spec=polished.spec,
         field_norm_e_sq=float(inv_fp.norm_e_sq),
         failure=polished.failure,
+        gradient_evals=polished.gradient_evals + 1,
     )
 
 
@@ -607,7 +614,7 @@ def sweep_mu(
                 candidates.append(minimize_ground_state(ps, spec, grid, opts, init_field=init))
             except NonFiniteEnergyError as exc:
                 candidates.append(
-                    _failed_report(initial_pair(grid, opts), ps, spec, grid, str(exc))
+                    _failed_report(initial_pair(grid, opts, init), ps, spec, grid, str(exc))
                 )
         good = [r for r in candidates if r.converged]
         rep = min(good, key=lambda r: r.energy) if good else candidates[0]

@@ -1,0 +1,50 @@
+"""The opt-in bit log records every solve's bits and leaves the suite alone without -p."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+CASE = """
+from csgs import GridSpec, PotentialDef, ProblemSpec, SolveOptions, build_grid, sample_potentials
+from csgs.solver import minimize_ground_state
+
+def test_solve():
+    g = build_grid(GridSpec(1, 4.0, 32))
+    C = PotentialDef.constant
+    ps = sample_potentials((C(1.0), C(1.0), C(0.3)), 0.3, g)
+    rep = minimize_ground_state(ps, ProblemSpec(1, 4.0, 4.0, 1.0), g, SolveOptions(max_iters=5))
+    print("ENERGY", rep.energy.hex())
+"""
+
+
+def _pytest(tmp_path, *args):
+    (tmp_path / "test_case.py").write_text(CASE, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+         "--rootdir", str(tmp_path), *args, str(tmp_path / "test_case.py")],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+
+
+def test_records_each_solve_bit_for_bit(tmp_path):
+    log = tmp_path / "bits.jsonl"
+    run = _pytest(tmp_path, "-p", "bitlog", "--bitlog", str(log))
+    assert run.returncode == 0, run.stdout + run.stderr
+    energy = run.stdout.split("ENERGY ", 1)[1].split()[0]
+    (record,) = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    assert record["test"] == "test_case.py::test_solve"
+    assert record["fn"] == "minimize_ground_state"
+    assert record["energy"] == energy
+    assert record["iterations"] == 5 and record["converged"] is False
+
+
+def test_not_loaded_by_default(tmp_path):
+    run = _pytest(tmp_path, "--bitlog", str(tmp_path / "bits.jsonl"))
+    assert run.returncode != 0
+    assert "unrecognized arguments: --bitlog" in run.stderr

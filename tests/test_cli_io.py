@@ -392,6 +392,14 @@ class TestCli:
         assert code == 1
         assert "non-empty" in capsys.readouterr().err
 
+    def test_sweep_with_init_file_exit1(self, tmp_path, capsys):
+        absent = tmp_path / "absent.csgs"
+        text = BASE_CFG.replace("grad_tol = 1e-6", f"grad_tol = 1e-6\ninit = file\ninit_file = {absent}")
+        cfg = self._write(tmp_path, text + "\n[sweep]\nmu_values = 1.0\n")
+        code = run_cli(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "solver.init" in capsys.readouterr().err
+
     def test_solve_with_infinite_tolerance_exit1(self, tmp_path, capsys):
         cfg = self._write(tmp_path, NON_FINITE_CASES["solver.grad_tol"]("inf"))
         code = run_cli(["solve", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -69,6 +69,24 @@ class TestFiberingScale:
             return fibering_scale_from_invariants(inv, spec).t_mu
         assert abs(root(c) - root(1.0)) <= 1e-12 * root(1.0)
 
+    @pytest.mark.parametrize(
+        "pq, quad, t_hex",
+        [
+            ((4.0, 4.0), 2.0, "0x1.6a09e667f3bcdp+0"),
+            ((4.0, 4.0), 0.5, "0x1.6a09e667f3bcdp-1"),
+            ((4.0, 6.0), 2.0, "0x1.4a7e9cb8a3492p+0"),
+            ((4.0, 6.0), 0.5, "0x1.83b289bb428e8p-1"),
+            ((2.5, 6.0), 2.0, "0x1.67c47a0518738p+0"),
+            ((2.5, 6.0), 0.5, "0x1.ea135ad747835p-2"),
+        ],
+    )
+    def test_pinned_roots(self, pq, quad, t_hex):
+        # a + b = 1 against B = 2 (phi(1) < 0) or B = 0.5 (phi(1) > 0): the
+        # bracket expands up or down; every bit of the root is pinned
+        spec = ProblemSpec(3, *pq, 1.0)
+        inv = PairInvariants(quad=quad, coupling=0.0, pnorm_mu=0.7, qnorm=0.3)
+        assert fibering_scale_from_invariants(inv, spec).t_mu.hex() == t_hex
+
     def test_against_scalar_root_oracle(self, setup):
         g, ps, _ = setup
         spec = ProblemSpec(1, 2.7, 5.3, 0.8)

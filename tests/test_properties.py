@@ -29,6 +29,7 @@ from csgs import (
 )
 from csgs.config import canonical_config, parse_config
 from csgs.functional import PairInvariants, pair_inner
+from csgs.grid import shifted_inverse, spectral_partials
 from csgs.nehari import fibering_scale_from_invariants
 from csgs.potentials import KIND_PARAMS, VALIDATION_MODES
 from csgs.solver import INIT_MODES
@@ -41,11 +42,11 @@ MAX_N = {1: 64, 2: 16, 3: 8}
 
 
 @st.composite
-def grid_specs(draw):
+def grid_specs(draw, kinds=KINDS):
     dim = draw(st.integers(1, 3))
     n = 2 * draw(st.integers(2, MAX_N[dim] // 2))
     half_width = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
-    boundary, mode = draw(st.sampled_from(KINDS))
+    boundary, mode = draw(st.sampled_from(kinds))
     return GridSpec(dim, half_width, n, boundary, mode)
 
 
@@ -76,6 +77,26 @@ def test_gradient_pairing_matches_central_differences(spec, node, component):
     fd = (plus - minus) / (2.0 * eps)
     pairing = pair_inner(energy_gradient(fp, ps, pspec, g), d, g)
     assert abs(fd - pairing) <= 1e-6 * max(g.spacing**spec.dim, abs(pairing))
+
+
+@given(spec=grid_specs(kinds=[("periodic", "spectral")]), seed=st.integers(0, 2**16),
+       shift=st.floats(0.5, 10.0))
+def test_spectral_kernels_match_the_nd_transforms_bit_for_bit(spec, seed, shift):
+    g = build_grid(spec)
+    f = random_pair(g, seed).u
+    axes = tuple(range(spec.dim))
+    fh = np.fft.rfftn(f, axes=axes)
+
+    def back(coefficients):
+        return np.fft.irfftn(coefficients, s=g.shape, axes=axes)
+
+    assert np.array_equal(apply_laplacian(f, g), back(fh * g._lap_multiplier))
+    assert np.array_equal(shifted_inverse(f, shift, g), back(fh / (shift - g._lap_multiplier)))
+    nyquist = np.pi / g.spacing
+    for k, partial in zip(g._rfft_wavenumbers, spectral_partials(f, g)):
+        kd = np.where(np.abs(k) >= nyquist * (1.0 - 1e-12), 0.0, k)
+        assert np.array_equal(partial, back(1j * kd * fh))
+    assert integrate(f, g) == g.spacing**spec.dim * np.sum(f)
 
 
 @st.composite

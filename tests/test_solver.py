@@ -321,6 +321,30 @@ class TestSweep:
         sw = sweep_mu(ps, spec, g, [0.0], QUICK)
         assert sw.converged[0] and sw.energies[0] > 0
 
+    def test_failed_solve_reports_its_warm_start(self, setup_1d, monkeypatch):
+        import csgs.solver
+        from csgs.errors import NonFiniteEnergyError
+
+        g, ps, spec = setup_1d
+        inner = csgs.solver.minimize_ground_state
+        starts = []
+
+        def failing_at_mu_2(ps, spec, grid, opts=None, init_field=None):
+            starts.append(init_field)
+            if spec.mu == 2.0:
+                raise NonFiniteEnergyError("trial energy is not finite")
+            return inner(ps, spec, grid, opts, init_field=init_field)
+
+        monkeypatch.setattr(csgs.solver, "minimize_ground_state", failing_at_mu_2)
+        sw = sweep_mu(ps, spec, g, [1.0, 2.0], QUICK)
+        assert sw.converged == [True, False]
+        # the warm solve at mu = 2 starts from the mu = 1 field and is listed first
+        warm = sw.reports[0].field
+        assert starts[1] is warm
+        rep = sw.reports[1]
+        assert rep.failure == "trial energy is not finite"
+        assert rep.field is warm
+
     def test_empty_list_rejected(self, setup_1d):
         g, ps, spec = setup_1d
         with pytest.raises(ValueError, match="non-empty"):
@@ -400,14 +424,26 @@ class TestRoundingFloor:
     also accepts a step within rounding noise of the lowest recorded energy
     when it lowers the gradient norm."""
 
-    def test_fd2_solve_converges_past_the_floor(self):
+    def test_fd2_solve_converges_past_the_floor(self, monkeypatch):
+        import csgs.solver
+
         g = build_grid(GridSpec(1, 4.0, 128, "periodic", "fd2"))
         ps = sample_potentials((CONST(1.0), CONST(1.0), CONST(0.3)), 0.3, g)
         validate_assumptions(ps, "periodic")
         spec = ProblemSpec(1, 4.0, 4.0, 1.0)
+        calls = []
+        inner = csgs.solver.energy_gradient
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(csgs.solver, "energy_gradient", counted)
         rep = minimize_ground_state(ps, spec, g, SolveOptions(grad_tol=1e-12))
         assert rep.converged and rep.failure is None
         assert rep.grad_norm <= 1e-12
+        # every gradient is counted, those of floor trials the line search rejects included
+        assert rep.gradient_evals == len(calls) > rep.iterations + 1
 
     def test_floor_steps_keep_the_trace_monotone(self, pair_reports):
         eps = np.finfo(float).eps
