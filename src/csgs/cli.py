@@ -87,8 +87,7 @@ def _cmd_validate(cfg: RunConfig, grid: Grid, out: Path) -> int:
 def _solve_summary(tag: str, rep: SolveReport) -> None:
     print(
         f"{tag}: converged={rep.converged} c={fmt_float(rep.energy)} "
-        f"grad_norm={rep.grad_norm:.3e} iters={rep.iterations} "
-        f"recenters={rep.recenters_applied}"
+        f"grad_norm={rep.grad_norm:.3e} iters={rep.iterations}"
         + (f" [{rep.failure}]" if rep.failure else "")
     )
 

@@ -194,8 +194,6 @@ def parse_config(text: str) -> RunConfig:
             kwargs["max_iters"] = s.intv("max_iters")
         if s.has("grad_tol"):
             kwargs["grad_tol"] = s.floatv("grad_tol")
-        if s.has("recenter_every"):
-            kwargs["recenter_every"] = s.intv("recenter_every")
         if s.has("seed"):
             kwargs["seed"] = s.intv("seed")
         if s.has("init"):
@@ -301,7 +299,6 @@ def canonical_config(cfg: RunConfig) -> str:
     out.write("[solver]\n")
     out.write(f"max_iters = {s.max_iters}\n")
     out.write(f"grad_tol = {fmt_float(s.grad_tol)}\n")
-    out.write(f"recenter_every = {s.recenter_every}\n")
     out.write(f"seed = {s.seed}\n")
     out.write(f"init = {s.init}\n")
     if s.init_path is not None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import (
     ConvergenceError,
     DegenerateNonlinearityError,
+    NonFiniteEnergyError,
     NonpositiveQuadraticFormError,
     ZeroFieldError,
 )
@@ -42,7 +43,11 @@ def _phi(t: float, a: float, b: float, ep: float, eq: float, quad: float) -> flo
 
 
 def fibering_scale_from_invariants(inv: PairInvariants, spec: ProblemSpec) -> FiberingDiagnostics:
-    """Solve phi(t) = 0 given precomputed quadrature scalars."""
+    """Solve phi(t) = 0 given precomputed quadrature scalars.
+
+    Raises NonFiniteEnergyError when a power of the root, or of a bracket
+    point on the way to it, leaves the double range.
+    """
     a, b, quad = inv.pnorm_mu, inv.qnorm, inv.quad
     if a + b <= 0.0:
         raise DegenerateNonlinearityError(
@@ -53,6 +58,20 @@ def fibering_scale_from_invariants(inv: PairInvariants, spec: ProblemSpec) -> Fi
         raise NonpositiveQuadraticFormError(
             f"quadratic form B = {quad} is not positive; potentials likely unvalidated"
         )
+    # Python floats raise on overflow in ** instead of returning inf
+    try:
+        t, phi_t, bracket, iterations = _root(a, b, quad, spec)
+        g_at_t = inv.energy_at(t, spec)
+    except OverflowError:
+        raise NonFiniteEnergyError(
+            f"the fibering root for B = {quad}, mu ||u||_p^p = {a}, ||v||_q^q = {b} "
+            "has powers outside the double range"
+        ) from None
+    return FiberingDiagnostics(float(t), float(g_at_t), bracket, iterations, abs(float(phi_t)))
+
+
+def _root(a: float, b: float, quad: float, spec: ProblemSpec):
+    """The root of phi, phi there, the first bracket and the Newton iterations."""
     ep, eq = spec.p - 2.0, spec.q - 2.0
 
     # bracket the root starting from [1, 1], expanding by factor 4 in the
@@ -104,9 +123,7 @@ def fibering_scale_from_invariants(inv: PairInvariants, spec: ProblemSpec) -> Fi
         phi_t = _phi(t, a, b, ep, eq, quad)
     else:
         raise ConvergenceError("fibering root-finder exhausted its iteration budget")
-
-    g_at_t = inv.energy_at(t, spec)
-    return FiberingDiagnostics(float(t), float(g_at_t), bracket, iterations, abs(float(phi_t)))
+    return t, phi_t, bracket, iterations
 
 
 def fibering_scale(

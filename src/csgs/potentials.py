@@ -98,15 +98,6 @@ class PotentialDef:
 
     # -- evaluation ---------------------------------------------------------
 
-    @property
-    def is_lattice_periodic(self) -> bool:
-        """True when the definition is 1-periodic by construction."""
-        if self.kind == "constant":
-            return True
-        if self.kind == "cosine-lattice":
-            return True
-        return False
-
     def evaluate(self, coords: tuple[np.ndarray, ...]) -> np.ndarray:
         if self.kind == "constant":
             return np.full_like(coords[0], self.params[0])
@@ -165,7 +156,6 @@ class PotentialSet:
     defs: tuple[PotentialDef, PotentialDef, PotentialDef]
     delta: float
     grid: Grid = field(repr=False)
-    periodic_flag: bool = False
 
     def check_grid(self, grid: Grid) -> None:
         if self.grid is not grid and self.grid.spec != grid.spec:
@@ -237,8 +227,7 @@ def sample_potentials(
             coord = _node_coord(grid, bad)
             raise ValueError(f"{label} is non-finite at node {coord}")
         sampled.append(vals)
-    periodic = all(d.is_lattice_periodic for d in defs)
-    return PotentialSet(sampled[0], sampled[1], sampled[2], tuple(defs), float(delta), grid, periodic)
+    return PotentialSet(sampled[0], sampled[1], sampled[2], tuple(defs), float(delta), grid)
 
 
 def _node_coord(grid: Grid, idx: tuple[int, ...]) -> tuple[float, ...]:
@@ -414,8 +403,6 @@ def validate_assumptions(
             nu1, nu2 = estimate_nu(ps, grid)
             checks.append(AssumptionCheck("V2:nu1>0", bool(nu1 > 1e-8), nu1))
             checks.append(AssumptionCheck("V2:nu2>0", bool(nu2 > 1e-8), nu2))
-        if all(c.passed for c in checks):
-            ps.periodic_flag = True
     elif mode in ("asymptotic", "asymptotic-strict"):
         if reference is None:
             raise ValueError("asymptotic validation requires a periodic reference set")

@@ -6,10 +6,7 @@ Barzilai-Borwein trial step and Armijo backtracking, re-project, accept
 on sufficient decrease.  Once the model decrease falls below the rounding
 floor of the energy, the same line search accepts a step within rounding
 noise of the lowest recorded energy if it lowers the gradient norm, so one
-loop runs the solve to tolerance.  On periodic grids with lattice-periodic
-potentials the iterate is periodically recentered by the integer lattice
-shift that moves its densest node nearest the origin, the discrete stand-in
-for recovering compactness by translations.
+loop runs the solve to tolerance.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from .grid import (
     integrate,
     shifted_inverse,
     spectral_partials,
-    translate_lattice,
 )
 from .nehari import fibering_scale_from_invariants
 from .potentials import PotentialSet
@@ -64,7 +60,6 @@ class SolveOptions:
 
     max_iters: int = 5000
     grad_tol: float = 1e-6
-    recenter_every: int = 50
     seed: int = 0
     init: str = "gaussian-bump"
     init_path: str | None = None
@@ -74,8 +69,6 @@ class SolveOptions:
             raise ValueError("max_iters must be nonnegative")
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
-        if self.recenter_every < 0:
-            raise ValueError("recenter_every must be nonnegative (0 disables)")
         if self.init not in INIT_MODES:
             raise ValueError(f"unknown init mode {self.init!r}")
 
@@ -90,7 +83,6 @@ class SolveReport:
     iterations: int
     energy_trace: list[float]
     grad_trace: list[float]
-    recenters_applied: int
     converged: bool
     spec: ProblemSpec
     field_norm_e_sq: float
@@ -185,16 +177,6 @@ def _trial(fp: FieldPair, s: float, direction: FieldPair, ps: PotentialSet, spec
     return _project(cand, inv, spec)
 
 
-def _recenter_shift(fp: FieldPair, grid: Grid) -> np.ndarray | None:
-    density = fp.u * fp.u + fp.v * fp.v
-    idx = np.unravel_index(int(np.argmax(density)), grid.shape)
-    peak = np.array([grid.axis_coords[i] for i in idx])
-    shift = np.round(peak).astype(int)
-    if not np.any(shift):
-        return None
-    return shift
-
-
 def _failed_report(
     fp: FieldPair, ps: PotentialSet, spec: ProblemSpec, grid: Grid, msg: str
 ) -> SolveReport:
@@ -208,7 +190,6 @@ def _failed_report(
         iterations=0,
         energy_trace=[float(e0)],
         grad_trace=[gn],
-        recenters_applied=0,
         converged=False,
         spec=spec,
         field_norm_e_sq=float(inv.norm_e_sq),
@@ -258,17 +239,10 @@ def minimize_ground_state(
     gnorm = pair_norm_l2(grad, grid)
     energy_trace = [float(e_cur)]
     grad_trace = [gnorm]
-    recenters = 0
     iterations = 0
     stagnated = False
     step = _STEP0
     bb_flip = False
-    can_recenter = (
-        opts.recenter_every > 0
-        and grid.is_periodic
-        and ps.periodic_flag
-        and grid.nodes_per_unit() is not None
-    )
 
     for k in range(opts.max_iters):
         if gnorm <= opts.grad_tol:
@@ -309,50 +283,26 @@ def minimize_ground_state(
             break
         iterations = k + 1
 
-        recentered = False
-        if can_recenter and (k + 1) % opts.recenter_every == 0:
-            shift = _recenter_shift(cand_p, grid)
-            if shift is not None:
-                moved = _with_laplacians(
-                    translate_lattice(cand_p.u, shift, grid),
-                    translate_lattice(cand_p.v, shift, grid),
-                    grid,
-                )
-                inv_m = pair_invariants(moved, ps, spec, grid)
-                try:
-                    moved_p, inv_mp, e_m = _project(moved, inv_m, spec)
-                except _PROJECTION_ERRORS:
-                    e_m = np.inf
-                # lattice shifts preserve the energy exactly for periodic
-                # potentials; guard against last-ulp regressions anyway
-                if e_m <= e_new:
-                    cand_p, inv_p, e_new = moved_p, inv_mp, e_m
-                    recentered = True
-                    recenters += 1
-
-        if recentered or grad_new is None:
+        if grad_new is None:
             grad_new = energy_gradient(cand_p, ps, spec, grid)
             grad_evals += 1
 
-        if recentered:
-            step = _STEP0
+        # alternating Barzilai-Borwein trial step for the next iteration
+        du = cand_p.u - fp.u
+        dv = cand_p.v - fp.v
+        dgu = grad_new.u - grad.u
+        dgv = grad_new.v - grad.v
+        bb_flip = not bb_flip
+        if bb_flip:
+            num = integrate(du * du + dv * dv, grid)
+            den = integrate(du * dgu + dv * dgv, grid)
         else:
-            # alternating Barzilai-Borwein trial step for the next iteration
-            du = cand_p.u - fp.u
-            dv = cand_p.v - fp.v
-            dgu = grad_new.u - grad.u
-            dgv = grad_new.v - grad.v
-            bb_flip = not bb_flip
-            if bb_flip:
-                num = integrate(du * du + dv * dv, grid)
-                den = integrate(du * dgu + dv * dgv, grid)
-            else:
-                num = integrate(du * dgu + dv * dgv, grid)
-                den = integrate(dgu * dgu + dgv * dgv, grid)
-            if math.isfinite(den) and den > 0.0 and math.isfinite(num) and num > 0.0:
-                step = min(max(num / den, 1e-12), 1e10)
-            else:
-                step = min(s * 2.0, _STEP0)
+            num = integrate(du * dgu + dv * dgv, grid)
+            den = integrate(dgu * dgu + dgv * dgv, grid)
+        if math.isfinite(den) and den > 0.0 and math.isfinite(num) and num > 0.0:
+            step = min(max(num / den, 1e-12), 1e10)
+        else:
+            step = min(s * 2.0, _STEP0)
 
         fp, inv, e_cur = cand_p, inv_p, e_new
         grad, gnorm = grad_new, pair_norm_l2(grad_new, grid)
@@ -370,7 +320,6 @@ def minimize_ground_state(
         iterations=iterations,
         energy_trace=energy_trace,
         grad_trace=grad_trace,
-        recenters_applied=recenters,
         converged=converged,
         spec=spec,
         field_norm_e_sq=float(inv.norm_e_sq),
@@ -412,7 +361,6 @@ def nonneg_refine(
         iterations=polished.iterations,
         energy_trace=polished.energy_trace + [float(e_final)],
         grad_trace=polished.grad_trace + [gn],
-        recenters_applied=polished.recenters_applied,
         converged=polished.converged,
         spec=polished.spec,
         field_norm_e_sq=float(inv_fp.norm_e_sq),

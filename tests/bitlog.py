@@ -5,8 +5,8 @@
 While the suite runs, every result of ``minimize_ground_state`` and
 ``estimate_sobolev_constant`` is recorded as one JSON line: the test that
 produced it, the call's index within that test, ``float.hex`` of the energy
-and the gradient norm (or of the estimate), the iteration and recenter
-counts, and the flags.  A call that raises records the exception's type.
+and the gradient norm (or of the estimate), the iteration count, and the
+flags.  A call that raises records the exception's type.
 Two logs of the same suite, run on two versions of the code, are identical
 exactly when every result kept every bit, so ``diff`` compares them.
 
@@ -35,7 +35,6 @@ def _describe(name, result):
         "energy": float.hex(result.energy),
         "grad_norm": float.hex(result.grad_norm),
         "iterations": result.iterations,
-        "recenters": result.recenters_applied,
         "converged": result.converged,
         "failure": result.failure,
     }

@@ -150,7 +150,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"{key} must be a finite number"):
             parse_config(NON_FINITE_CASES[key](value))
 
-    @pytest.mark.parametrize("key", ["step0", "armijo_factor", "armijo_decrease"])
+    @pytest.mark.parametrize("key", ["step0", "armijo_factor", "armijo_decrease", "recenter_every"])
     def test_line_search_constants_not_configurable(self, key):
         with pytest.raises(ConfigError, match=rf"unknown key solver\.{key}"):
             parse_config(BASE_CFG + f"{key} = 0.5\n")
@@ -163,7 +163,7 @@ class TestConfig:
         canon = canonical_config(parse_config(BASE_CFG))
         section = canon.split("[solver]\n")[1].split("\n\n")[0]
         keys = [line.split(" = ")[0] for line in section.splitlines()]
-        assert keys == ["max_iters", "grad_tol", "recenter_every", "seed", "init"]
+        assert keys == ["max_iters", "grad_tol", "seed", "init"]
 
     def test_gaussian_potential_roundtrip(self):
         text = BASE_CFG.replace(

@@ -16,6 +16,7 @@ from csgs import (
 )
 from csgs.errors import (
     DegenerateNonlinearityError,
+    NonFiniteEnergyError,
     NonpositiveQuadraticFormError,
     ZeroFieldError,
 )
@@ -86,6 +87,14 @@ class TestFiberingScale:
         spec = ProblemSpec(3, *pq, 1.0)
         inv = PairInvariants(quad=quad, coupling=0.0, pnorm_mu=0.7, qnorm=0.3)
         assert fibering_scale_from_invariants(inv, spec).t_mu.hex() == t_hex
+
+    @pytest.mark.parametrize("quad, qnorm", [(1e300, 1e-10), (1.0, 1e-310)])
+    def test_root_beyond_double_range(self, quad, qnorm):
+        # the root is about 1e77.5 and its fourth power overflows
+        spec = ProblemSpec(3, 4.0, 6.0, 1.0)
+        inv = PairInvariants(quad=quad, coupling=0.0, pnorm_mu=0.0, qnorm=qnorm)
+        with pytest.raises(NonFiniteEnergyError, match="double range"):
+            fibering_scale_from_invariants(inv, spec)
 
     def test_against_scalar_root_oracle(self, setup):
         g, ps, _ = setup

@@ -38,7 +38,7 @@ class TestSampling:
     def test_constants(self, grid_1d):
         ps = sample_potentials((CONST(1.0), CONST(1.0), CONST(0.5)), 0.5, grid_1d)
         assert np.all(ps.v1 == 1.0) and np.all(ps.lam == 0.5)
-        assert ps.periodic_flag  # constants are lattice-periodic by construction
+        assert validate_assumptions(ps, "periodic").find("V1:periodicity").passed
 
     def test_model_pair_values(self, grid_3d_small):
         ps = model_pair_set(grid_3d_small)

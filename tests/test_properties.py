@@ -191,7 +191,6 @@ def config_texts(draw):
         text += "[solver]\n" + _optional(draw, {
             "max_iters": st.integers(0, 10**6),
             "grad_tol": POSITIVE.map(repr),
-            "recenter_every": st.integers(0, 1000),
             "seed": st.integers(-(2**31), 2**31),
             "init": st.sampled_from(INIT_MODES),
             "init_file": PATHS,

@@ -164,7 +164,7 @@ class TestCarriedLaplacians:
 
         monkeypatch.setattr(csgs.solver, "apply_laplacian", counted)
         monkeypatch.setattr(csgs.functional, "apply_laplacian", counted)
-        rep = minimize_ground_state(ps, spec, g, SolveOptions(recenter_every=0))
+        rep = minimize_ground_state(ps, spec, g)
         assert rep.converged
         # two for the start, then the new gradient's two per iteration
         assert len(calls) == 2 + 2 * rep.iterations
