@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .fieldio import fmt_float

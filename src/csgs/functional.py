@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteEnergyError
-from .grid import FieldPair, Grid, _whole_power, apply_laplacian, integrate, lp_integral
+from .grid import FieldPair, Grid, _lp_sum, _quadrature, _whole_power, apply_laplacian, integrate
 from .potentials import PotentialSet
 
 
@@ -109,30 +109,41 @@ def _check(fp: FieldPair, ps: PotentialSet, grid: Grid) -> None:
     ps.check_grid(grid)
 
 
-def _laplacian(fp: FieldPair, i: int, grid: Grid) -> np.ndarray:
-    """Lap of fp.u (i = 0) or fp.v (i = 1): the carried one, else transformed now."""
-    return fp.lap[i] if fp.lap is not None else apply_laplacian((fp.u, fp.v)[i], grid)
+def _arrays(fp: FieldPair, grid: Grid) -> tuple[np.ndarray, ...]:
+    """(u, v, Lap u, Lap v): the carried Laplacians, else transformed now."""
+    return (fp.u, fp.v, *(fp.lap or (apply_laplacian(fp.u, grid), apply_laplacian(fp.v, grid))))
+
+
+def _quadratic_sums(u, v, lap_u, lap_v, ps, grid, w1, w2) -> tuple[float, float]:
+    """(||(u,v)||_E^2, 2 * integral lambda u v) on plain arrays, overwriting w1 and w2; the
+    density u (-Lap u) + v (-Lap v) + V1 u u + V2 v v (|grad u|^2 -> u (-Lap u) keeps B consistent
+    with the Laplacian) is formed as (V1 u u - (u Lap u + v Lap v)) + V2 v v, bit for bit."""
+    np.add(np.multiply(u, lap_u, out=w1), np.multiply(v, lap_v, out=w2), out=w1)
+    np.subtract(np.multiply(np.multiply(ps.v1, u, out=w2), u, out=w2), w1, out=w2)
+    w2 += np.multiply(np.multiply(ps.v2, v, out=w1), v, out=w1)
+    coupling = 2.0 * _quadrature(np.multiply(np.multiply(ps.lam, u, out=w1), v, out=w1), grid)
+    return _quadrature(w2, grid), coupling
 
 
 def _quadratic_parts(fp: FieldPair, ps: PotentialSet, grid: Grid) -> tuple[float, float]:
-    """(||(u,v)||_E^2, 2 * integral lambda u v) from one density sweep; the
-    identity |grad u|^2 -> u (-Lap u) keeps B consistent with the Laplacian."""
     _check(fp, ps, grid)
-    u, v = fp.u, fp.v
     with np.errstate(over="ignore", invalid="ignore"):
-        density = (
-            u * (-_laplacian(fp, 0, grid)) + v * (-_laplacian(fp, 1, grid))
-            + ps.v1 * u * u + ps.v2 * v * v
-        )
-        return integrate(density, grid), 2.0 * integrate(ps.lam * u * v, grid)
+        return _quadratic_sums(*_arrays(fp, grid), ps, grid, *np.empty((2, *grid.shape)))
+
+
+def _invariants(u, v, lap_u, lap_v, ps, spec: ProblemSpec, grid, w1, w2) -> PairInvariants:
+    """:func:`pair_invariants` on plain arrays, overwriting w1 and w2."""
+    norm_e_sq, coupling = _quadratic_sums(u, v, lap_u, lap_v, ps, grid, w1, w2)
+    pnorm = _lp_sum(u, spec.p, grid, w1) if spec.mu != 0.0 else 0.0
+    qnorm = _lp_sum(v, spec.q, grid, w1)
+    return PairInvariants(norm_e_sq - coupling, coupling, spec.mu * pnorm, qnorm)
 
 
 def pair_invariants(fp: FieldPair, ps: PotentialSet, spec: ProblemSpec, grid: Grid) -> PairInvariants:
     """Compute (B, 2*coupling, mu ||u||_p^p, ||v||_q^q) in one sweep."""
-    norm_e_sq, coupling = _quadratic_parts(fp, ps, grid)
-    pnorm = lp_integral(fp.u, spec.p, grid) if spec.mu != 0.0 else 0.0
-    qnorm = lp_integral(fp.v, spec.q, grid)
-    return PairInvariants(norm_e_sq - coupling, coupling, spec.mu * pnorm, qnorm)
+    _check(fp, ps, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _invariants(*_arrays(fp, grid), ps, spec, grid, *np.empty((2, *grid.shape)))
 
 
 def quadratic_form(fp: FieldPair, ps: PotentialSet, grid: Grid) -> float:
@@ -170,9 +181,28 @@ def odd_power(f: np.ndarray, p: float) -> np.ndarray:
     Whole p is raised by multiplication (p = 4: f f f, p = 6: (f f)^2 f).
     """
     with np.errstate(over="ignore"):
-        if float(p).is_integer() and p >= 3:
-            return f * _whole_power(np.abs(f), int(p) - 2)
-        return np.sign(f) * np.abs(f) ** (p - 1.0)
+        return _odd_power(f, p, np.empty(np.shape(f)))
+
+
+def _odd_power(f: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """:func:`odd_power` into ``out`` without the guard; |f|^k f is f |f|^k bit for bit."""
+    a = np.abs(f, out=out)
+    if float(p).is_integer() and p >= 3:
+        return np.multiply(_whole_power(a, int(p) - 2), f, out=a)
+    a **= p - 1.0
+    return np.multiply(a, np.sign(f), out=a)
+
+
+def _gradient(u, v, lap_u, lap_v, ps, spec: ProblemSpec, gu, gv, work) -> None:
+    """:func:`energy_gradient` on plain arrays into gu and gv, overwriting ``work``;
+    -Lap u + V1 u is formed as V1 u - Lap u, the same sum bit for bit."""
+    np.subtract(np.multiply(ps.v1, u, out=gu), lap_u, out=gu)
+    gu -= np.multiply(ps.lam, v, out=work)
+    if spec.mu != 0.0:
+        gu -= np.multiply(_odd_power(u, spec.p, work), spec.mu, out=work)
+    np.subtract(np.multiply(ps.v2, v, out=gv), lap_v, out=gv)
+    gv -= _odd_power(v, spec.q, work)
+    gv -= np.multiply(ps.lam, u, out=work)
 
 
 def energy_gradient(fp: FieldPair, ps: PotentialSet, spec: ProblemSpec, grid: Grid) -> FieldPair:
@@ -182,11 +212,9 @@ def energy_gradient(fp: FieldPair, ps: PotentialSet, spec: ProblemSpec, grid: Gr
     quadrature reproduces the directional derivative of the energy.
     """
     _check(fp, ps, grid)
-    u, v = fp.u, fp.v
-    gu = -_laplacian(fp, 0, grid) + ps.v1 * u - ps.lam * v
-    if spec.mu != 0.0:
-        gu -= spec.mu * odd_power(u, spec.p)
-    gv = -_laplacian(fp, 1, grid) + ps.v2 * v - odd_power(v, spec.q) - ps.lam * u
+    arrays, (gu, gv, work) = _arrays(fp, grid), np.empty((3, *grid.shape))
+    with np.errstate(over="ignore"):
+        _gradient(*arrays, ps, spec, gu, gv, work)
     return FieldPair(gu, gv, grid)
 
 

@@ -153,15 +153,21 @@ def integrate(f: np.ndarray, grid: Grid) -> float:
     the order-canonical variant used for translation-invariant norms.
     """
     grid.check_conforms(f)
-    return float(grid.cell_volume * np.add.reduce(f, axis=None))
+    return _quadrature(f, grid)
+
+
+def _quadrature(f: np.ndarray, grid: Grid) -> float:
+    """:func:`integrate` without the shape check."""
+    return float(grid.cell_volume * np.add.reduce(f, None))
 
 
 def _whole_power(a: np.ndarray, k: int) -> np.ndarray:
-    """a**k for a whole k >= 1 by repeated squaring instead of pow."""
+    """a**k written over a, for a whole k >= 1, by repeated squaring instead of pow."""
     if k == 1:
         return a
-    half = _whole_power(a * a, k // 2)
-    return half * a if k % 2 else half
+    sq = np.multiply(a, a, out=None if k % 2 else a)  # an odd k still needs a
+    half = _whole_power(sq, k // 2)
+    return np.multiply(half, a, out=a) if k % 2 else half
 
 
 def lp_integral(f: np.ndarray, p: float, grid: Grid) -> float:
@@ -174,9 +180,18 @@ def lp_integral(f: np.ndarray, p: float, grid: Grid) -> float:
     """
     grid.check_conforms(f)
     with np.errstate(over="ignore"):
-        vals = np.abs(f, dtype=float).ravel()
-        vals = _whole_power(vals, int(p)) if float(p).is_integer() and p >= 1 else vals**p
-        return float(grid.cell_volume * np.add.reduce(np.sort(vals)))
+        return _lp_sum(f, p, grid, np.empty(grid.shape))
+
+
+def _lp_sum(f: np.ndarray, p: float, grid: Grid, work: np.ndarray) -> float:
+    """:func:`lp_integral` without its check and guard; |f|^p is raised and sorted in ``work``."""
+    vals = np.abs(f, work).reshape(-1)
+    if float(p).is_integer() and p >= 1:
+        _whole_power(vals, int(p))
+    else:
+        vals **= p
+    vals.sort()
+    return _quadrature(vals, grid)
 
 
 def _forward(f: np.ndarray, grid: Grid) -> np.ndarray:

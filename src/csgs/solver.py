@@ -27,6 +27,7 @@ from .errors import (
 from .functional import (
     PairInvariants,
     ProblemSpec,
+    _invariants,
     energy_gradient,
     pair_invariants,
     pair_norm_l2,
@@ -34,6 +35,7 @@ from .functional import (
 from .grid import (
     FieldPair,
     Grid,
+    _quadrature,
     apply_laplacian,
     integrate,
     shifted_inverse,
@@ -88,6 +90,7 @@ class SolveReport:
     field_norm_e_sq: float
     failure: str | None = None
     gradient_evals: int = 0  # energy_gradient evaluations, rejected floor trials included
+    trials: int = 0  # trial points the line search evaluated
 
     def rows(self) -> list[tuple]:
         """CSV rows: the header, then (iter, energy, grad_norm) per traced step."""
@@ -150,31 +153,14 @@ def initial_pair(grid: Grid, opts: SolveOptions, init_field: FieldPair | None = 
 
 
 def _project(fp: FieldPair, inv: PairInvariants, spec: ProblemSpec):
-    """Scale onto the manifold, reusing the ray scalars."""
+    """Scale onto the manifold: the scaled pair, its ||.||_E^2 and its energy."""
     diag = fibering_scale_from_invariants(inv, spec)
-    t = diag.t_mu
-    inv_t = PairInvariants(
-        t * t * inv.quad,
-        t * t * inv.coupling,
-        t**spec.p * inv.pnorm_mu,
-        t**spec.q * inv.qnorm,
-    )
-    return fp.scaled(t), inv_t, diag.g_at_t
+    return fp.scaled(diag.t_mu), _norm_e_sq_at(inv, diag.t_mu), diag.g_at_t
 
 
-def _with_laplacians(u: np.ndarray, v: np.ndarray, grid: Grid) -> FieldPair:
-    return FieldPair(u, v, grid, (apply_laplacian(u, grid), apply_laplacian(v, grid)))
-
-
-def _trial(fp: FieldPair, s: float, direction: FieldPair, ps: PotentialSet, spec: ProblemSpec):
-    # project fp - s * direction; the Laplacian is linear, so the trial
-    # point's follows from the two carried ones
-    lap = (fp.lap[0] - s * direction.lap[0], fp.lap[1] - s * direction.lap[1])
-    cand = FieldPair(fp.u - s * direction.u, fp.v - s * direction.v, fp.grid, lap)
-    inv = pair_invariants(cand, ps, spec, fp.grid)
-    if not all(map(math.isfinite, (inv.quad, inv.coupling, inv.pnorm_mu, inv.qnorm))):
-        raise NonFiniteEnergyError("trial invariants overflow")
-    return _project(cand, inv, spec)
+def _norm_e_sq_at(inv: PairInvariants, t: float) -> float:
+    """||(t u, t v)||_E^2 from the invariants of (u, v)."""
+    return t * t * inv.quad + t * t * inv.coupling
 
 
 def _failed_report(
@@ -198,6 +184,7 @@ def _failed_report(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # one guard for the whole solve
 def minimize_ground_state(
     ps: PotentialSet,
     spec: ProblemSpec,
@@ -225,17 +212,20 @@ def minimize_ground_state(
     ps.check_grid(grid)
 
     start = initial_pair(grid, opts, init_field)
-    fp0 = _with_laplacians(start.u, start.v, grid)
+    lap0 = (apply_laplacian(start.u, grid), apply_laplacian(start.v, grid))
+    fp0 = FieldPair(start.u, start.v, grid, lap0)
     try:
-        inv0 = pair_invariants(fp0, ps, spec, grid)
-        fp, inv, e_cur = _project(fp0, inv0, spec)
+        fp, norm_e_sq, e_cur = _project(fp0, pair_invariants(fp0, ps, spec, grid), spec)
     except _PROJECTION_ERRORS as exc:
         return _failed_report(start, ps, spec, grid, f"initial projection failed: {exc}")
     if not math.isfinite(e_cur):
         raise NonFiniteEnergyError("initial projected energy is not finite")
 
+    # the solve's workspace: a trial point and its Laplacians, then two scratch arrays
+    work = np.empty((6, *grid.shape))
+    w1, w2 = work[4:]
     grad = energy_gradient(fp, ps, spec, grid)
-    grad_evals = 1
+    grad_evals, trials = 1, 0
     gnorm = pair_norm_l2(grad, grid)
     energy_trace = [float(e_cur)]
     grad_trace = [gnorm]
@@ -248,15 +238,23 @@ def minimize_ground_state(
         if gnorm <= opts.grad_tol:
             break
 
-        # backtracked step along the negative gradient, then re-project
-        grad = _with_laplacians(grad.u, grad.v, grid)
+        # backtracked step along the negative gradient, then re-project; the Laplacian is linear,
+        # so the trial point's follows from the carried ones; trials are scaled only if kept
+        grad_lap = (apply_laplacian(grad.u, grid), apply_laplacian(grad.v, grid))
         gnorm_sq = gnorm * gnorm
         e_scale = max(abs(e_cur), 1.0)
         s = step
         grad_new = None
         for _ in range(60):
+            trials += 1
+            for base, d, out in zip((fp.u, fp.v, *fp.lap), (grad.u, grad.v, *grad_lap), work):
+                np.subtract(base, np.multiply(d, s, out=out), out=out)
             try:
-                cand_p, inv_p, e_new = _trial(fp, s, grad, ps, spec)
+                inv = _invariants(*work[:4], ps, spec, grid, w1, w2)
+                if not all(map(math.isfinite, (inv.quad, inv.coupling, inv.pnorm_mu, inv.qnorm))):
+                    raise NonFiniteEnergyError("trial invariants overflow")
+                diag = fibering_scale_from_invariants(inv, spec)
+                e_new = diag.g_at_t
                 if not math.isfinite(e_new):
                     raise NonFiniteEnergyError("trial energy is not finite")
             except (*_PROJECTION_ERRORS, NonFiniteEnergyError):
@@ -267,12 +265,13 @@ def minimize_ground_state(
             # non-increase, or an energy within rounding noise of the lowest
             # recorded one whose gradient norm is lower
             at_floor = s * gnorm_sq <= 1e-13 * e_scale
-            if e_new <= e_cur - _ARMIJO * s * gnorm_sq or (
-                at_floor and e_new <= e_cur
-            ):
-                break
-            if at_floor and e_new <= energy_trace[-1] + 32.0 * _EPS * e_scale:
-                grad_trial = energy_gradient(cand_p, ps, spec, grid)
+            accept = e_new <= e_cur - _ARMIJO * s * gnorm_sq or (at_floor and e_new <= e_cur)
+            if accept or (at_floor and e_new <= energy_trace[-1] + 32.0 * _EPS * e_scale):
+                t = diag.t_mu
+                cand = FieldPair(t * work[0], t * work[1], grid, (t * work[2], t * work[3]))
+                if accept:
+                    break
+                grad_trial = energy_gradient(cand, ps, spec, grid)
                 grad_evals += 1
                 if pair_norm_l2(grad_trial, grid) < gnorm:
                     grad_new = grad_trial
@@ -284,27 +283,25 @@ def minimize_ground_state(
         iterations = k + 1
 
         if grad_new is None:
-            grad_new = energy_gradient(cand_p, ps, spec, grid)
+            grad_new = energy_gradient(cand, ps, spec, grid)
             grad_evals += 1
 
-        # alternating Barzilai-Borwein trial step for the next iteration
-        du = cand_p.u - fp.u
-        dv = cand_p.v - fp.v
-        dgu = grad_new.u - grad.u
-        dgv = grad_new.v - grad.v
+        # alternating Barzilai-Borwein trial step for the next iteration, from differences
+        new, old = (cand.u, cand.v, grad_new.u, grad_new.v), (fp.u, fp.v, grad.u, grad.v)
+        du, dv, dgu, dgv = (np.subtract(a, b, out=out) for a, b, out in zip(new, old, work))
         bb_flip = not bb_flip
         if bb_flip:
-            num = integrate(du * du + dv * dv, grid)
-            den = integrate(du * dgu + dv * dgv, grid)
+            num = _quadrature(du * du + dv * dv, grid)
+            den = _quadrature(du * dgu + dv * dgv, grid)
         else:
-            num = integrate(du * dgu + dv * dgv, grid)
-            den = integrate(dgu * dgu + dgv * dgv, grid)
+            num = _quadrature(du * dgu + dv * dgv, grid)
+            den = _quadrature(dgu * dgu + dgv * dgv, grid)
         if math.isfinite(den) and den > 0.0 and math.isfinite(num) and num > 0.0:
             step = min(max(num / den, 1e-12), 1e10)
         else:
             step = min(s * 2.0, _STEP0)
 
-        fp, inv, e_cur = cand_p, inv_p, e_new
+        fp, e_cur, norm_e_sq = cand, e_new, _norm_e_sq_at(inv, t)
         grad, gnorm = grad_new, pair_norm_l2(grad_new, grid)
         # a floor step may sit a few ulps above the lowest energy; the
         # trace records only non-increases
@@ -322,9 +319,10 @@ def minimize_ground_state(
         grad_trace=grad_trace,
         converged=converged,
         spec=spec,
-        field_norm_e_sq=float(inv.norm_e_sq),
+        field_norm_e_sq=float(norm_e_sq),
         failure=None if converged else "stagnated" if stagnated else "budget",
         gradient_evals=grad_evals,
+        trials=trials,
     )
 
 
@@ -343,15 +341,13 @@ def nonneg_refine(
     projection guarantees nodewise nonnegative output.
     """
     nn = report.field.magnitudes()
-    inv_nn = pair_invariants(nn, ps, spec, grid)
-    nn_p, _, _ = _project(nn, inv_nn, spec)
+    nn_p = _project(nn, pair_invariants(nn, ps, spec, grid), spec)[0]
 
     polish_opts = SolveOptions(max_iters=500, init="file")
     polished = minimize_ground_state(ps, spec, grid, polish_opts, init_field=nn_p)
 
     final = polished.field.magnitudes()
-    inv_f = pair_invariants(final, ps, spec, grid)
-    final_p, inv_fp, e_final = _project(final, inv_f, spec)
+    final_p, norm_e_sq, e_final = _project(final, pair_invariants(final, ps, spec, grid), spec)
     gn = pair_norm_l2(energy_gradient(final_p, ps, spec, grid), grid)
 
     return SolveReport(
@@ -363,9 +359,10 @@ def nonneg_refine(
         grad_trace=polished.grad_trace + [gn],
         converged=polished.converged,
         spec=polished.spec,
-        field_norm_e_sq=float(inv_fp.norm_e_sq),
+        field_norm_e_sq=float(norm_e_sq),
         failure=polished.failure,
         gradient_evals=polished.gradient_evals + 1,
+        trials=polished.trials,
     )
 
 

@@ -5,6 +5,7 @@ in ``conftest.py``, so every run checks the same cases.
 """
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,16 @@ from csgs import (
     write_field,
 )
 from csgs.config import canonical_config, parse_config
-from csgs.functional import PairInvariants, pair_inner
+from csgs.functional import (
+    PairInvariants,
+    _gradient,
+    _invariants,
+    _odd_power,
+    odd_power,
+    pair_inner,
+    pair_invariants,
+)
+from csgs.grid import _lp_sum
 from csgs.grid import shifted_inverse, spectral_partials
 from csgs.nehari import fibering_scale_from_invariants
 from csgs.potentials import KIND_PARAMS, VALIDATION_MODES
@@ -217,3 +227,101 @@ def test_config_parse_serialize_parse_is_idempotent(text):
     again = parse_config(canon)
     assert again == cfg
     assert canonical_config(again) == canon
+
+
+# The kernels' arithmetic as it was written before the descent moved onto a
+# workspace; the public kernels and the descent's array kernels must
+# reproduce it bit for bit.
+def _ref_sum(f, g):
+    return float(g.cell_volume * np.add.reduce(f, axis=None))
+
+
+def _ref_whole_power(a, k):
+    if k == 1:
+        return a
+    half = _ref_whole_power(a * a, k // 2)
+    return half * a if k % 2 else half
+
+
+def _ref_lp(f, p, g):
+    with np.errstate(over="ignore"):
+        vals = np.abs(f, dtype=float).ravel()
+        vals = _ref_whole_power(vals, int(p)) if float(p).is_integer() and p >= 1 else vals**p
+        return float(g.cell_volume * np.add.reduce(np.sort(vals)))
+
+
+def _ref_odd_power(f, p):
+    with np.errstate(over="ignore"):
+        if float(p).is_integer() and p >= 3:
+            return f * _ref_whole_power(np.abs(f), int(p) - 2)
+        return np.sign(f) * np.abs(f) ** (p - 1.0)
+
+
+def _ref_invariants(u, v, lap_u, lap_v, ps, spec, g):
+    density = u * (-lap_u) + v * (-lap_v) + ps.v1 * u * u + ps.v2 * v * v
+    norm_e_sq, coupling = _ref_sum(density, g), 2.0 * _ref_sum(ps.lam * u * v, g)
+    pnorm = _ref_lp(u, spec.p, g) if spec.mu != 0.0 else 0.0
+    return norm_e_sq - coupling, coupling, spec.mu * pnorm, _ref_lp(v, spec.q, g)
+
+
+def _ref_gradient(u, v, lap_u, lap_v, ps, spec):
+    gu = -lap_u + ps.v1 * u - ps.lam * v
+    if spec.mu != 0.0:
+        gu -= spec.mu * _ref_odd_power(u, spec.p)
+    gv = -lap_v + ps.v2 * v - _ref_odd_power(v, spec.q) - ps.lam * u
+    return gu, gv
+
+
+def _hexes(values):
+    return [float.hex(float(x)) for x in values]
+
+
+@given(
+    spec=grid_specs(),
+    seed=st.integers(0, 2**16),
+    pq=st.sampled_from([(4.0, 4.0), (3.0, 5.0), (4.0, 6.0), (2.5, 3.5), (3.0, 4.5)]),
+    mu=st.sampled_from([0.0, 1.0, 2.5]),
+    scale=st.sampled_from([1.0, 1e60]),
+)
+def test_descent_kernels_reproduce_the_reference_bit_for_bit(spec, seed, pq, mu, scale):
+    """The kernels keep the reference's bits, also where |v|^q overflows, and stay silent."""
+    g = build_grid(spec)
+    defs = (PotentialDef.gaussian(1.0, 0.5, 0.7), PotentialDef.cosine_lattice(1.5, 0.5), CONST(0.3))
+    ps = sample_potentials(defs, 0.5, g)
+    pspec = ProblemSpec(spec.dim, *pq, mu)
+    fp = random_pair(g, seed).scaled(scale)
+    u, v = fp.u, fp.v
+    lap_u, lap_v = apply_laplacian(u, g), apply_laplacian(v, g)
+    inputs = (u, v, lap_u, lap_v, ps.v1, ps.v2, ps.lam)
+    before = [a.copy() for a in inputs]
+    ref_inv = _hexes(_ref_invariants(u, v, lap_u, lap_v, ps, pspec, g))
+    ref_gu, ref_gv = _ref_gradient(u, v, lap_u, lap_v, ps, pspec)
+
+    def nan_work(k):
+        """Work arrays whose stale contents must not leak into a result."""
+        return [np.full(g.shape, np.nan) for _ in range(k)]
+
+    def fields(inv):
+        return _hexes((inv.quad, inv.coupling, inv.pnorm_mu, inv.qnorm))
+
+    with np.errstate(over="ignore", invalid="ignore"):  # the solve's guard
+        assert fields(_invariants(u, v, lap_u, lap_v, ps, pspec, g, *nan_work(2))) == ref_inv
+        gu, gv, work = nan_work(3)
+        _gradient(u, v, lap_u, lap_v, ps, pspec, gu, gv, work)
+        assert np.array_equal(gu, ref_gu) and np.array_equal(gv, ref_gv)
+        for f, p in ((u, pspec.p), (v, pspec.q)):
+            assert _lp_sum(f, p, g, *nan_work(1)).hex() == _ref_lp(f, p, g).hex()
+            assert np.array_equal(_odd_power(f, p, *nan_work(1)), _ref_odd_power(f, p))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the public kernels bring their own guards
+        assert fields(pair_invariants(FieldPair(u, v, g, (lap_u, lap_v)), ps, pspec, g)) == ref_inv
+        assert fields(pair_invariants(FieldPair(u, v, g), ps, pspec, g)) == ref_inv
+        public = energy_gradient(FieldPair(u, v, g), ps, pspec, g)
+        assert np.array_equal(public.u, ref_gu) and np.array_equal(public.v, ref_gv)
+        for f, p in ((u, pspec.p), (v, pspec.q)):
+            assert lp_integral(f, p, g).hex() == _ref_lp(f, p, g).hex()
+            assert np.array_equal(odd_power(f, p), _ref_odd_power(f, p))
+
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)

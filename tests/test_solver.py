@@ -466,3 +466,85 @@ class TestNeutrality:
         r2 = minimize_ground_state(ps, spec, g, QUICK, init_field=base.scaled(-1.0))
         assert abs(r0.energy - r1.energy) <= 1e-8
         assert abs(r0.energy - r2.energy) <= 1e-8
+
+
+def _pinned_case(gspec, lam, spec):
+    g = build_grid(gspec)
+    return sample_potentials((CONST(1.0), CONST(1.0), CONST(lam)), lam, g), spec, g
+
+
+class TestWorkspaceDescent:
+    """The line search evaluates its trials on one workspace per solve."""
+
+    @pytest.mark.parametrize(
+        "gspec, lam, spec, opts, energy_hex, grad_hex, iterations",
+        [
+            (GridSpec(1, 4.0, 128), 0.3, ProblemSpec(1, 4.0, 4.0, 1.0),
+             SolveOptions(init="random", seed=3),
+             "0x1.2bf012a0eaf51p+0", "0x1.07df643ff2e8ep-20", 673),
+            (GridSpec(3, 6.0, 16), 0.9, ProblemSpec(3, 4.0, 6.0, 4.0), SolveOptions(),
+             "0x1.8d9bd8dfcffe1p+1", "0x1.9063ea4f47a00p-21", 197),
+            (GridSpec(1, 4.0, 64, "dirichlet", "fd2"), 0.3, ProblemSpec(1, 4.0, 4.0, 1.0),
+             SolveOptions(), "0x1.30b8d6d802f33p+0", "0x1.09d04a7863d6cp-20", 1232),
+            (GridSpec(1, 4.0, 64), 0.3, ProblemSpec(1, 2.5, 3.5, 1.0), SolveOptions(),
+             "0x1.e91ccdccc0b5ep-2", "0x1.082fb3c621df6p-20", 713),
+            (GridSpec(2, 4.0, 16, "periodic", "fd2"), 0.3, ProblemSpec(2, 4.0, 5.0, 0.0),
+             SolveOptions(), "0x1.cf493d2b4d13fp+1", "0x1.dc4425690e418p-21", 76),
+        ],
+        ids=["random-1d", "critical-3d", "dirichlet-1d", "fractional-1d", "mu-zero-2d"],
+    )
+    def test_pinned_solves(self, gspec, lam, spec, opts, energy_hex, grad_hex, iterations):
+        """Solves pinned to the last bit: any reordered kernel arithmetic moves them."""
+        ps, spec, g = _pinned_case(gspec, lam, spec)
+        rep = minimize_ground_state(ps, spec, g, opts)
+        assert (rep.energy.hex(), rep.grad_norm.hex(), rep.iterations) == (
+            energy_hex, grad_hex, iterations
+        )
+
+    def test_trials_count_every_line_search_point(self, monkeypatch):
+        import csgs.solver
+
+        ps, spec, g = _pinned_case(GridSpec(1, 4.0, 128), 0.3, ProblemSpec(1, 4.0, 4.0, 1.0))
+        roots, errors = [], []
+        inner = csgs.solver.fibering_scale_from_invariants
+
+        def counted(inv, spec):
+            roots.append(1)
+            try:
+                return inner(inv, spec)
+            except Exception as exc:
+                errors.append(exc)
+                raise
+
+        monkeypatch.setattr(csgs.solver, "fibering_scale_from_invariants", counted)
+        rep = minimize_ground_state(ps, spec, g, SolveOptions(init="random", seed=3))
+        assert rep.converged and not errors
+        # one root for the start, then one per trial point
+        assert rep.trials == len(roots) - 1 > rep.iterations
+
+    def test_one_guard_silences_the_descent(self, monkeypatch):
+        import warnings
+
+        import csgs.solver
+        from csgs.errors import NonFiniteEnergyError
+        from csgs.solver import initial_pair
+
+        ps, spec, g = _pinned_case(GridSpec(3, 2.0, 8), 0.9, ProblemSpec(3, 4.0, 6.0, 4.0))
+        start = initial_pair(g, SolveOptions())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEnergyError):
+                minimize_ground_state(ps, spec, g, init_field=start.scaled(1e55))
+            assert minimize_ground_state(ps, spec, g, init_field=start.scaled(1e40)).converged
+
+        # the trial kernels carry no guard of their own: the solve's covers them
+        seen = []
+        inner = csgs.solver._invariants
+
+        def recorded(*args):
+            seen.append(np.geterr())
+            return inner(*args)
+
+        monkeypatch.setattr(csgs.solver, "_invariants", recorded)
+        minimize_ground_state(ps, spec, g, SolveOptions(max_iters=5))
+        assert seen and all(e["over"] == e["invalid"] == "ignore" for e in seen)
