@@ -60,11 +60,8 @@ class _Reader:
         self.section = section
         self.seen: set[str] = set()
 
-    def has(self, key: str) -> bool:
-        return self.parser.has_option(self.section, key)
-
     def raw(self, key: str, default=None, required=False):
-        if not self.has(key):
+        if not self.parser.has_option(self.section, key):
             if required:
                 raise ConfigError(f"missing required key {self.section}.{key}")
             return default
@@ -188,20 +185,15 @@ def parse_config(text: str) -> RunConfig:
 
     solver = SolveOptions()
     if parser.has_section("solver"):
-        s = _Reader(parser, "solver")
-        kwargs = {}
-        if s.has("max_iters"):
-            kwargs["max_iters"] = s.intv("max_iters")
-        if s.has("grad_tol"):
-            kwargs["grad_tol"] = s.floatv("grad_tol")
-        if s.has("seed"):
-            kwargs["seed"] = s.intv("seed")
-        if s.has("init"):
-            kwargs["init"] = s.raw("init")
-        if s.has("init_file"):
-            kwargs["init_path"] = s.raw("init_file")
-        try:
-            solver = SolveOptions(**kwargs)
+        s, d = _Reader(parser, "solver"), solver
+        try:  # the readers raise ConfigError; SolveOptions rejects values with ValueError
+            solver = SolveOptions(
+                max_iters=s.intv("max_iters", d.max_iters),
+                grad_tol=s.floatv("grad_tol", d.grad_tol),
+                seed=s.intv("seed", d.seed),
+                init=s.raw("init", d.init),
+                init_path=s.raw("init_file", d.init_path),
+            )
         except ValueError as exc:
             raise ConfigError(f"[solver]: {exc}") from None
         s.check_consumed()

@@ -110,8 +110,8 @@ def _check(fp: FieldPair, ps: PotentialSet, grid: Grid) -> None:
 
 
 def _arrays(fp: FieldPair, grid: Grid) -> tuple[np.ndarray, ...]:
-    """(u, v, Lap u, Lap v): the carried Laplacians, else transformed now."""
-    return (fp.u, fp.v, *(fp.lap or (apply_laplacian(fp.u, grid), apply_laplacian(fp.v, grid))))
+    """(u, v, Lap u, Lap v)."""
+    return fp.u, fp.v, apply_laplacian(fp.u, grid), apply_laplacian(fp.v, grid)
 
 
 def _quadratic_sums(u, v, lap_u, lap_v, ps, grid, w1, w2) -> tuple[float, float]:
@@ -134,8 +134,8 @@ def _quadratic_parts(fp: FieldPair, ps: PotentialSet, grid: Grid) -> tuple[float
 def _invariants(u, v, lap_u, lap_v, ps, spec: ProblemSpec, grid, w1, w2) -> PairInvariants:
     """:func:`pair_invariants` on plain arrays, overwriting w1 and w2."""
     norm_e_sq, coupling = _quadratic_sums(u, v, lap_u, lap_v, ps, grid, w1, w2)
-    pnorm = _lp_sum(u, spec.p, grid, w1) if spec.mu != 0.0 else 0.0
-    qnorm = _lp_sum(v, spec.q, grid, w1)
+    pnorm = _lp_sum(u, spec.p, grid, w1, w2) if spec.mu != 0.0 else 0.0
+    qnorm = _lp_sum(v, spec.q, grid, w1, w2)
     return PairInvariants(norm_e_sq - coupling, coupling, spec.mu * pnorm, qnorm)
 
 
@@ -184,24 +184,25 @@ def odd_power(f: np.ndarray, p: float) -> np.ndarray:
         return _odd_power(f, p, np.empty(np.shape(f)))
 
 
-def _odd_power(f: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
-    """:func:`odd_power` into ``out`` without the guard; |f|^k f is f |f|^k bit for bit."""
+def _odd_power(f: np.ndarray, p: float, out: np.ndarray, spare=None) -> np.ndarray:
+    """:func:`odd_power` into ``out`` without the guard, overwriting ``spare`` if given;
+    |f|^k f is f |f|^k bit for bit."""
     a = np.abs(f, out=out)
     if float(p).is_integer() and p >= 3:
-        return np.multiply(_whole_power(a, int(p) - 2), f, out=a)
+        return np.multiply(_whole_power(a, int(p) - 2, spare), f, out=a)
     a **= p - 1.0
-    return np.multiply(a, np.sign(f), out=a)
+    return np.multiply(a, np.sign(f, out=spare), out=a)
 
 
-def _gradient(u, v, lap_u, lap_v, ps, spec: ProblemSpec, gu, gv, work) -> None:
-    """:func:`energy_gradient` on plain arrays into gu and gv, overwriting ``work``;
-    -Lap u + V1 u is formed as V1 u - Lap u, the same sum bit for bit."""
+def _gradient(u, v, lap_u, lap_v, ps, spec: ProblemSpec, gu, gv, work, spare=None) -> None:
+    """:func:`energy_gradient` on plain arrays into gu and gv, overwriting ``work`` and
+    ``spare``; -Lap u + V1 u is formed as V1 u - Lap u, the same sum bit for bit."""
     np.subtract(np.multiply(ps.v1, u, out=gu), lap_u, out=gu)
     gu -= np.multiply(ps.lam, v, out=work)
     if spec.mu != 0.0:
-        gu -= np.multiply(_odd_power(u, spec.p, work), spec.mu, out=work)
+        gu -= np.multiply(_odd_power(u, spec.p, work, spare), spec.mu, out=work)
     np.subtract(np.multiply(ps.v2, v, out=gv), lap_v, out=gv)
-    gv -= _odd_power(v, spec.q, work)
+    gv -= _odd_power(v, spec.q, work, spare)
     gv -= np.multiply(ps.lam, u, out=work)
 
 

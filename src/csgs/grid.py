@@ -161,13 +161,14 @@ def _quadrature(f: np.ndarray, grid: Grid) -> float:
     return float(grid.cell_volume * np.add.reduce(f, None))
 
 
-def _whole_power(a: np.ndarray, k: int) -> np.ndarray:
-    """a**k written over a, for a whole k >= 1, by repeated squaring instead of pow."""
+def _whole_power(a: np.ndarray, k: int, spare: np.ndarray | None = None) -> np.ndarray:
+    """a**k written over a, for a whole k >= 1, by repeated squaring instead of pow; the first
+    odd level squares into ``spare`` (a new array without one), because it still needs a."""
     if k == 1:
         return a
-    sq = np.multiply(a, a, out=None if k % 2 else a)  # an odd k still needs a
-    half = _whole_power(sq, k // 2)
-    return np.multiply(half, a, out=a) if k % 2 else half
+    odd = k % 2
+    half = _whole_power(np.multiply(a, a, out=spare if odd else a), k // 2, None if odd else spare)
+    return np.multiply(half, a, out=a) if odd else half
 
 
 def lp_integral(f: np.ndarray, p: float, grid: Grid) -> float:
@@ -183,11 +184,12 @@ def lp_integral(f: np.ndarray, p: float, grid: Grid) -> float:
         return _lp_sum(f, p, grid, np.empty(grid.shape))
 
 
-def _lp_sum(f: np.ndarray, p: float, grid: Grid, work: np.ndarray) -> float:
-    """:func:`lp_integral` without its check and guard; |f|^p is raised and sorted in ``work``."""
+def _lp_sum(f: np.ndarray, p: float, grid: Grid, work: np.ndarray, spare=None) -> float:
+    """:func:`lp_integral` without its check and guard; |f|^p is raised and sorted in ``work``,
+    with ``spare`` for :func:`_whole_power`."""
     vals = np.abs(f, work).reshape(-1)
     if float(p).is_integer() and p >= 1:
-        _whole_power(vals, int(p))
+        _whole_power(vals, int(p), None if spare is None else spare.reshape(-1))
     else:
         vals **= p
     vals.sort()
@@ -294,13 +296,12 @@ def translate_lattice(f: np.ndarray, shift: tuple[int, ...] | np.ndarray, grid: 
 class FieldPair:
     """The unknown (u, v) of the coupled system, sampled on a grid.
 
-    ``lap`` optionally carries (Lap u, Lap v) for reuse; only ``scaled`` keeps it.
+    A pair holds its samples only; the kernels apply the Laplacian when they need it.
     """
 
     u: np.ndarray
     v: np.ndarray
     grid: Grid = field(repr=False)
-    lap: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.grid.check_conforms(self.u)
@@ -311,8 +312,7 @@ class FieldPair:
             raise ValueError("field pair contains non-finite values")
 
     def scaled(self, t: float) -> "FieldPair":
-        lap = None if self.lap is None else (t * self.lap[0], t * self.lap[1])
-        return FieldPair(t * self.u, t * self.v, self.grid, lap)
+        return FieldPair(t * self.u, t * self.v, self.grid)
 
     def magnitudes(self) -> "FieldPair":
         return FieldPair(np.abs(self.u), np.abs(self.v), self.grid)

@@ -45,10 +45,15 @@ def _phi(t: float, a: float, b: float, ep: float, eq: float, quad: float) -> flo
 def fibering_scale_from_invariants(inv: PairInvariants, spec: ProblemSpec) -> FiberingDiagnostics:
     """Solve phi(t) = 0 given precomputed quadrature scalars.
 
-    Raises NonFiniteEnergyError when a power of the root, or of a bracket
-    point on the way to it, leaves the double range.
+    Raises NonFiniteEnergyError when B, mu ||u||_p^p or ||v||_q^q is not
+    finite, when a power of the root, or of a bracket point on the way to
+    it, leaves the double range, or when the projected energy is not finite.
     """
     a, b, quad = inv.pnorm_mu, inv.qnorm, inv.quad
+    if not (math.isfinite(quad) and math.isfinite(a) and math.isfinite(b)):
+        raise NonFiniteEnergyError(
+            f"the invariants B = {quad}, mu ||u||_p^p = {a}, ||v||_q^q = {b} are not all finite"
+        )
     if a + b <= 0.0:
         raise DegenerateNonlinearityError(
             "mu ||u||_p^p + ||v||_q^q vanishes; no fibering scale exists "
@@ -67,6 +72,8 @@ def fibering_scale_from_invariants(inv: PairInvariants, spec: ProblemSpec) -> Fi
             f"the fibering root for B = {quad}, mu ||u||_p^p = {a}, ||v||_q^q = {b} "
             "has powers outside the double range"
         ) from None
+    if not math.isfinite(g_at_t):
+        raise NonFiniteEnergyError(f"the projected energy {g_at_t} is not finite")
     return FiberingDiagnostics(float(t), float(g_at_t), bracket, iterations, abs(float(phi_t)))
 
 
@@ -133,7 +140,8 @@ def fibering_scale(
 
     Raises ZeroFieldError for the zero pair, DegenerateNonlinearityError
     when both nonlinear terms vanish, NonpositiveQuadraticFormError when
-    B <= 0.
+    B <= 0, and NonFiniteEnergyError when the pair has a non-finite
+    invariant or projected energy.
     """
     if fp.is_zero():
         raise ZeroFieldError("the zero pair admits no fibering scale")

@@ -394,16 +394,14 @@ def validate_assumptions(
     nu1 = nu2 = None
 
     if mode in ("periodic", "periodic-strict"):
+        prefix = "V2"
         checks.append(_check_periodicity(ps, grid))
         checks.append(_check_nonneg("V2:V1>=0", ps.v1, grid))
         checks.append(_check_nonneg("V2:V2>=0", ps.v2, grid))
         name = "V3':coupling" if mode == "periodic-strict" else "V3:coupling"
         checks.append(_check_coupling_bound(name, ps, grid, strict=mode == "periodic-strict"))
-        if compute_nu:
-            nu1, nu2 = estimate_nu(ps, grid)
-            checks.append(AssumptionCheck("V2:nu1>0", bool(nu1 > 1e-8), nu1))
-            checks.append(AssumptionCheck("V2:nu2>0", bool(nu2 > 1e-8), nu2))
     elif mode in ("asymptotic", "asymptotic-strict"):
+        prefix = "V5"
         if reference is None:
             raise ValueError("asymptotic validation requires a periodic reference set")
         reference.check_grid(grid)
@@ -412,15 +410,16 @@ def validate_assumptions(
         name = "V6':coupling" if mode == "asymptotic-strict" else "V6:coupling"
         checks.append(_check_coupling_bound(name, ps, grid, strict=mode == "asymptotic-strict"))
         checks.extend(_check_asymptotic(ps, reference, grid, tail_tol))
-        if compute_nu:
-            nu1, nu2 = estimate_nu(ps, grid)
-            checks.append(AssumptionCheck("V5:nu1>0", bool(nu1 > 1e-8), nu1))
-            checks.append(AssumptionCheck("V5:nu2>0", bool(nu2 > 1e-8), nu2))
-    else:  # nonexistence
+    else:  # nonexistence: the radial conditions take the place of nu
+        prefix = None
         checks.append(_check_nonneg("V7:V1>=0", ps.v1, grid))
         checks.append(_check_nonneg("V7:V2>=0", ps.v2, grid))
         checks.append(_check_coupling_bound("V6:coupling", ps, grid, strict=False))
         checks.extend(_check_radial(ps, grid))
+    if compute_nu and prefix is not None:
+        nu1, nu2 = estimate_nu(ps, grid)
+        checks.append(AssumptionCheck(f"{prefix}:nu1>0", bool(nu1 > 1e-8), nu1))
+        checks.append(AssumptionCheck(f"{prefix}:nu2>0", bool(nu2 > 1e-8), nu2))
 
     return ValidationReport(mode, checks, nu1, nu2)
 

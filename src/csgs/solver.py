@@ -27,6 +27,7 @@ from .errors import (
 from .functional import (
     PairInvariants,
     ProblemSpec,
+    _gradient,
     _invariants,
     energy_gradient,
     pair_invariants,
@@ -163,6 +164,11 @@ def _norm_e_sq_at(inv: PairInvariants, t: float) -> float:
     return t * t * inv.quad + t * t * inv.coupling
 
 
+def _norm(g: np.ndarray, grid: Grid) -> float:
+    """The L^2 norm of a gradient block (gu, gv), summed as :func:`pair_norm_l2` sums it."""
+    return math.sqrt(max(_quadrature(g[0] * g[0] + g[1] * g[1], grid), 0.0))
+
+
 def _failed_report(
     fp: FieldPair, ps: PotentialSet, spec: ProblemSpec, grid: Grid, msg: str
 ) -> SolveReport:
@@ -201,8 +207,9 @@ def minimize_ground_state(
     does not rise, and the returned energy is within that band of the
     trace's minimum.  The converged flag reports honestly whether the
     gradient tolerance was met; otherwise ``failure`` is "stagnated" (line
-    search gave up) or "budget".  States carry their Laplacians, so an
-    iteration transforms only the new gradient.
+    search gave up) or "budget".  The solve keeps every point's Laplacians
+    next to it, so an iteration transforms only the new gradient; a
+    caller's ``init_field`` is read, never written.
     """
     opts = opts or SolveOptions()
     if spec.dim != grid.spec.dim:
@@ -212,21 +219,24 @@ def minimize_ground_state(
     ps.check_grid(grid)
 
     start = initial_pair(grid, opts, init_field)
-    lap0 = (apply_laplacian(start.u, grid), apply_laplacian(start.v, grid))
-    fp0 = FieldPair(start.u, start.v, grid, lap0)
+    # the solve's state, allocated once: the current and the trial point, each u, v and
+    # their Laplacians; the current and the new gradient; two scratch arrays
+    cur, trial = np.empty((2, 4, *grid.shape))
+    grad, grad_new = np.empty((2, 2, *grid.shape))
+    w1, w2 = np.empty((2, *grid.shape))
+    cur[0], cur[1] = start.u, start.v
+    cur[2], cur[3] = apply_laplacian(start.u, grid), apply_laplacian(start.v, grid)
+    inv = _invariants(*cur, ps, spec, grid, w1, w2)
     try:
-        fp, norm_e_sq, e_cur = _project(fp0, pair_invariants(fp0, ps, spec, grid), spec)
+        diag = fibering_scale_from_invariants(inv, spec)
     except _PROJECTION_ERRORS as exc:
         return _failed_report(start, ps, spec, grid, f"initial projection failed: {exc}")
-    if not math.isfinite(e_cur):
-        raise NonFiniteEnergyError("initial projected energy is not finite")
+    cur *= diag.t_mu
+    e_cur, norm_e_sq = diag.g_at_t, _norm_e_sq_at(inv, diag.t_mu)
 
-    # the solve's workspace: a trial point and its Laplacians, then two scratch arrays
-    work = np.empty((6, *grid.shape))
-    w1, w2 = work[4:]
-    grad = energy_gradient(fp, ps, spec, grid)
+    _gradient(*cur, ps, spec, *grad, w1, w2)
     grad_evals, trials = 1, 0
-    gnorm = pair_norm_l2(grad, grid)
+    gnorm = _norm(grad, grid)
     energy_trace = [float(e_cur)]
     grad_trace = [gnorm]
     iterations = 0
@@ -239,27 +249,22 @@ def minimize_ground_state(
             break
 
         # backtracked step along the negative gradient, then re-project; the Laplacian is linear,
-        # so the trial point's follows from the carried ones; trials are scaled only if kept
-        grad_lap = (apply_laplacian(grad.u, grid), apply_laplacian(grad.v, grid))
+        # so the trial point's follows from the current one's; a trial is scaled only if kept
+        grad_lap = (apply_laplacian(grad[0], grid), apply_laplacian(grad[1], grid))
         gnorm_sq = gnorm * gnorm
         e_scale = max(abs(e_cur), 1.0)
         s = step
-        grad_new = None
         for _ in range(60):
             trials += 1
-            for base, d, out in zip((fp.u, fp.v, *fp.lap), (grad.u, grad.v, *grad_lap), work):
+            for base, d, out in zip(cur, (*grad, *grad_lap), trial):
                 np.subtract(base, np.multiply(d, s, out=out), out=out)
             try:
-                inv = _invariants(*work[:4], ps, spec, grid, w1, w2)
-                if not all(map(math.isfinite, (inv.quad, inv.coupling, inv.pnorm_mu, inv.qnorm))):
-                    raise NonFiniteEnergyError("trial invariants overflow")
+                inv = _invariants(*trial, ps, spec, grid, w1, w2)
                 diag = fibering_scale_from_invariants(inv, spec)
-                e_new = diag.g_at_t
-                if not math.isfinite(e_new):
-                    raise NonFiniteEnergyError("trial energy is not finite")
             except (*_PROJECTION_ERRORS, NonFiniteEnergyError):
                 s *= _BACKTRACK
                 continue
+            e_new = diag.g_at_t
             # at the rounding floor the model decrease is below one ulp of
             # the energy, so energy differences are noise: accept a
             # non-increase, or an energy within rounding noise of the lowest
@@ -267,14 +272,10 @@ def minimize_ground_state(
             at_floor = s * gnorm_sq <= 1e-13 * e_scale
             accept = e_new <= e_cur - _ARMIJO * s * gnorm_sq or (at_floor and e_new <= e_cur)
             if accept or (at_floor and e_new <= energy_trace[-1] + 32.0 * _EPS * e_scale):
-                t = diag.t_mu
-                cand = FieldPair(t * work[0], t * work[1], grid, (t * work[2], t * work[3]))
-                if accept:
-                    break
-                grad_trial = energy_gradient(cand, ps, spec, grid)
+                trial *= diag.t_mu
+                _gradient(*trial, ps, spec, *grad_new, w1, w2)
                 grad_evals += 1
-                if pair_norm_l2(grad_trial, grid) < gnorm:
-                    grad_new = grad_trial
+                if accept or _norm(grad_new, grid) < gnorm:
                     break
             s *= _BACKTRACK
         else:  # no trial accepted
@@ -282,13 +283,10 @@ def minimize_ground_state(
             break
         iterations = k + 1
 
-        if grad_new is None:
-            grad_new = energy_gradient(cand, ps, spec, grid)
-            grad_evals += 1
-
         # alternating Barzilai-Borwein trial step for the next iteration, from differences
-        new, old = (cand.u, cand.v, grad_new.u, grad_new.v), (fp.u, fp.v, grad.u, grad.v)
-        du, dv, dgu, dgv = (np.subtract(a, b, out=out) for a, b, out in zip(new, old, work))
+        # written over the spent current point and gradient
+        du, dv = np.subtract(trial[:2], cur[:2], out=cur[:2])
+        dgu, dgv = np.subtract(grad_new, grad, out=grad)
         bb_flip = not bb_flip
         if bb_flip:
             num = _quadrature(du * du + dv * dv, grid)
@@ -301,8 +299,9 @@ def minimize_ground_state(
         else:
             step = min(s * 2.0, _STEP0)
 
-        fp, e_cur, norm_e_sq = cand, e_new, _norm_e_sq_at(inv, t)
-        grad, gnorm = grad_new, pair_norm_l2(grad_new, grid)
+        cur, trial, grad, grad_new = trial, cur, grad_new, grad
+        e_cur, norm_e_sq = e_new, _norm_e_sq_at(inv, diag.t_mu)
+        gnorm = _norm(grad, grid)
         # a floor step may sit a few ulps above the lowest energy; the
         # trace records only non-increases
         if e_cur <= energy_trace[-1]:
@@ -311,7 +310,7 @@ def minimize_ground_state(
 
     converged = opts.max_iters > 0 and gnorm <= opts.grad_tol
     return SolveReport(
-        field=FieldPair(fp.u, fp.v, grid),
+        field=FieldPair(cur[0].copy(), cur[1].copy(), grid),
         energy=float(e_cur),
         grad_norm=gnorm,
         iterations=iterations,

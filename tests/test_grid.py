@@ -176,17 +176,6 @@ class TestFieldPair:
         assert np.array_equal(fp.scaled(2.0).u, 2.0 * fp.u)
         assert np.all(fp.magnitudes().v >= 0)
 
-    def test_only_scaling_carries_laplacians(self, grid_1d):
-        fp = random_pair(grid_1d)
-        lap = (apply_laplacian(fp.u, grid_1d), apply_laplacian(fp.v, grid_1d))
-        carried = FieldPair(fp.u, fp.v, grid_1d, lap)
-        scaled = carried.scaled(-3.0)
-        assert np.array_equal(scaled.lap[0], -3.0 * lap[0])
-        assert np.array_equal(scaled.lap[1], -3.0 * lap[1])
-        assert carried.magnitudes().lap is None
-        assert carried.copy().lap is None
-        assert fp.scaled(2.0).lap is None
-
 
 class TestWholeExponents:
     """lp_integral raises whole exponents by multiplication, others by pow."""

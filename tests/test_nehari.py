@@ -96,6 +96,26 @@ class TestFiberingScale:
         with pytest.raises(NonFiniteEnergyError, match="double range"):
             fibering_scale_from_invariants(inv, spec)
 
+    @pytest.mark.parametrize(
+        "quad, pnorm_mu, qnorm",
+        [(np.nan, 0.7, 0.3), (np.inf, 0.7, 0.3), (2.0, np.nan, 0.3), (2.0, 0.7, np.inf)],
+    )
+    def test_non_finite_invariants(self, quad, pnorm_mu, qnorm):
+        inv = PairInvariants(quad=quad, coupling=0.0, pnorm_mu=pnorm_mu, qnorm=qnorm)
+        with pytest.raises(NonFiniteEnergyError, match="not all finite"):
+            fibering_scale_from_invariants(inv, ProblemSpec(3, 4.0, 6.0, 1.0))
+
+    def test_nan_node_has_no_scale(self, setup):
+        # one NaN node once came back as the plausible scale t = 4 with a NaN energy
+        g, ps, spec = setup
+        bump = np.exp(-g.radius_sq / (2.0 * 0.25**2))
+        fp = FieldPair(0.9 * bump, 1.1 * bump, g)
+        fp.u[3] = np.nan
+        with pytest.raises(NonFiniteEnergyError):
+            fibering_scale(fp, ps, spec, g)
+        with pytest.raises(NonFiniteEnergyError):
+            nehari_project(fp, ps, spec, g)
+
     def test_against_scalar_root_oracle(self, setup):
         g, ps, _ = setup
         spec = ProblemSpec(1, 2.7, 5.3, 0.8)

@@ -111,7 +111,6 @@ class TestMinimize:
         rep = minimize_ground_state(ps, spec0, g, QUICK, init_field=u_only)
         assert not rep.converged
         assert rep.failure is not None and "projection" in rep.failure
-        assert rep.field.lap is None
 
     def test_dim_mismatch_rejected(self, setup_1d):
         g, ps, _ = setup_1d
@@ -147,7 +146,6 @@ class TestCarriedLaplacians:
             validate_assumptions(ps, "periodic")
         rep = minimize_ground_state(ps, spec, g, opts)
         assert rep.iterations > 20  # many carried updates, not a fresh start
-        assert rep.field.lap is None
         fresh = energy(rep.field, ps, spec, g).total
         assert abs(fresh - rep.energy) <= 1e-12 * abs(rep.energy)
 
@@ -419,6 +417,38 @@ class TestCompare:
             compare_energies(r_per, other_mu)
 
 
+class TestReadOnlyStarts:
+    """The descent writes only its own arrays: a warm start and every earlier report keep their bits."""
+
+    def test_init_field_is_left_as_it_was(self, setup_1d):
+        g, ps, spec = setup_1d
+        w = np.exp(-g.radius_sq / 2.0)
+        init = FieldPair(0.9 * w, 1.1 * w, g)
+        before = init.copy()
+        rep = minimize_ground_state(ps, spec, g, QUICK, init_field=init)
+        assert rep.converged and rep.iterations > 20
+        assert init.u.tobytes() == before.u.tobytes() and init.v.tobytes() == before.v.tobytes()
+        assert rep.field.u.flags.owndata and rep.field.v.flags.owndata
+
+    def test_sweep_leaves_earlier_fields_as_they_were(self, setup_1d, monkeypatch):
+        import csgs.solver
+
+        g, ps, spec = setup_1d
+        inner = csgs.solver.minimize_ground_state
+        returned = []
+
+        def recorded(*args, **kwargs):
+            rep = inner(*args, **kwargs)
+            returned.append((rep, rep.field.u.tobytes(), rep.field.v.tobytes()))
+            return rep
+
+        monkeypatch.setattr(csgs.solver, "minimize_ground_state", recorded)
+        sw = sweep_mu(ps, spec, g, [0.5, 1.0, 2.0], QUICK)
+        assert all(sw.converged) and len(returned) == 5  # one cold, then a warm and a cold per mu
+        for rep, u, v in returned:
+            assert (rep.field.u.tobytes(), rep.field.v.tobytes()) == (u, v)
+
+
 class TestRoundingFloor:
     """One descent loop: at the rounding floor of the energy the line search
     also accepts a step within rounding noise of the lowest recorded energy
@@ -432,13 +462,13 @@ class TestRoundingFloor:
         validate_assumptions(ps, "periodic")
         spec = ProblemSpec(1, 4.0, 4.0, 1.0)
         calls = []
-        inner = csgs.solver.energy_gradient
+        inner = csgs.solver._gradient
 
         def counted(*args):
             calls.append(1)
             return inner(*args)
 
-        monkeypatch.setattr(csgs.solver, "energy_gradient", counted)
+        monkeypatch.setattr(csgs.solver, "_gradient", counted)
         rep = minimize_ground_state(ps, spec, g, SolveOptions(grad_tol=1e-12))
         assert rep.converged and rep.failure is None
         assert rep.grad_norm <= 1e-12
