@@ -78,8 +78,7 @@ def _validate(cfg: RunConfig, grid: Grid, out: Path, *, compute_nu: bool) -> tup
 
 
 def _cmd_validate(cfg: RunConfig, grid: Grid, out: Path) -> int:
-    nu_wanted = cfg.mode in ("periodic", "periodic-strict", "asymptotic", "asymptotic-strict")
-    code, (_, _, rep) = _validate(cfg, grid, out, compute_nu=nu_wanted)
+    code, (_, _, rep) = _validate(cfg, grid, out, compute_nu=True)
     _print_validation(rep)
     return code
 
@@ -99,8 +98,6 @@ def _cmd_solve(cfg: RunConfig, grid: Grid, out: Path) -> int:
         return code
     init_field = None
     if cfg.solver.init == "file":
-        if cfg.solver.init_path is None:
-            raise ConfigError("solver.init = file requires solver.init_file")
         init_field = read_field(cfg.solver.init_path, grid)
     report = minimize_ground_state(ps, cfg.problem, grid, cfg.solver, init_field=init_field)
     write_report_csv(report, out / "solve_trace.csv")
@@ -109,14 +106,18 @@ def _cmd_solve(cfg: RunConfig, grid: Grid, out: Path) -> int:
     return EXIT_OK if report.converged else EXIT_NONCONVERGED
 
 
+def _no_init_file(cfg: RunConfig, command: str) -> None:
+    if cfg.solver.init == "file":
+        raise ConfigError(
+            f"{command} command does not read solver.init_file; set solver.init to "
+            "gaussian-bump or random"
+        )
+
+
 def _cmd_sweep(cfg: RunConfig, grid: Grid, out: Path) -> int:
     if cfg.mu_values is None:
         raise ConfigError("sweep command requires a [sweep] section with mu_values")
-    if cfg.solver.init == "file":
-        raise ConfigError(
-            "sweep command does not read solver.init_file; set solver.init to "
-            "gaussian-bump or random"
-        )
+    _no_init_file(cfg, "sweep")
     code, (ps, _, rep_val) = _validate(cfg, grid, out, compute_nu=False)
     if code != EXIT_OK:
         _print_validation(rep_val)
@@ -133,6 +134,7 @@ def _cmd_sweep(cfg: RunConfig, grid: Grid, out: Path) -> int:
 def _cmd_compare(cfg: RunConfig, grid: Grid, out: Path) -> int:
     if cfg.reference_defs is None:
         raise ConfigError("compare command requires [reference.*] sections (the periodic set)")
+    _no_init_file(cfg, "compare")
     ps_ref = sample_potentials(cfg.reference_defs, cfg.delta, grid)
     rep_ref = validate_assumptions(ps_ref, "periodic", grid=grid)
     ps_asym = sample_potentials(cfg.pot_defs, cfg.delta, grid)

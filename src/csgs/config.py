@@ -1,18 +1,20 @@
 """Run configuration: line-oriented ``key = value`` files with sections.
 
-The format is deliberately plain INI so configs stay hand-editable and
-trivially parseable from any language.  Parsing validates every range
-constraint of the owning types and names the offending ``section.key`` in
-each error; the canonical serialization round-trips floats exactly and is
-idempotent under parse -> serialize -> parse.
+The format is deliberately plain INI so configs stay hand-editable.  The
+schema is the owning types' fields: ``[grid]``, ``[problem]`` and ``[solver]``
+hold one key per field of ``GridSpec``, ``ProblemSpec`` (its ``dim`` comes
+from the grid) and ``SolveOptions``, typed by the field's annotation and
+defaulting to its default, so a new field is a new key; the other sections
+hold ``RunConfig``'s own keys.  Parsing rejects unknown sections and keys and
+names the offending ``section.key`` in each error; the canonical form
+round-trips floats exactly and is idempotent under parse -> serialize -> parse.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .errors import ConfigError
 from .fieldio import fmt_float
@@ -42,88 +44,116 @@ class RunConfig:
         return replace(self, solver=replace(self.solver, seed=seed))
 
 
-def _finite_float(text: str, name: str) -> float:
-    try:
-        x = float(text)
-    except ValueError:
-        x = math.nan
-    if not math.isfinite(x):
-        raise ConfigError(f"{name} must be a finite number, got {text!r}")
-    return x
+_KEY = {"laplacian_mode": "laplacian", "init_path": "init_file"}  # keys named unlike their fields
 
 
-class _Reader:
-    """configparser wrapper that tracks which keys were consumed."""
+def _owned(cls) -> list:
+    """(field, key, type, default) per field of an owning type; MISSING marks a required key."""
+    return [(f.name, _KEY.get(f.name, f.name), f.type, f.default) for f in fields(cls)]
 
-    def __init__(self, parser: configparser.ConfigParser, section: str):
-        self.parser = parser
-        self.section = section
-        self.seen: set[str] = set()
 
-    def raw(self, key: str, default=None, required=False):
-        if not self.parser.has_option(self.section, key):
-            if required:
-                raise ConfigError(f"missing required key {self.section}.{key}")
-            return default
-        self.seen.add(key)
-        return self.parser.get(self.section, key)
+# (section, the type owning its keys or None for RunConfig's own, keys), in canonical order
+_SCHEMA = (
+    ("grid", GridSpec, _owned(GridSpec)),
+    ("problem", ProblemSpec, [k for k in _owned(ProblemSpec) if k[0] != "dim"]),  # dim from [grid]
+    ("potentials", None, (
+        ("delta", "delta", "float", MISSING),
+        ("mode", "mode", "str", "periodic"),
+        ("tail_tol", "tail_tol", "float", 1e-2),
+    )),
+    ("solver", SolveOptions, _owned(SolveOptions)),
+    ("sweep", None, (("mu_values", "mu_values", "list[float]", MISSING),)),
+    ("pohozaev", None, (
+        ("pohozaev_field", "field", "str | None", None),
+        ("pohozaev_bubble", "bubble", "bool", False),
+        ("bubble_scale", "bubble_scale", "float", 1.0),
+    )),
+    ("output", None, (("out_dir", "dir", "str", "out"),)),
+)
+# sections that may be absent, leaving RunConfig's defaults; written only when set
+_OPTIONAL = {
+    "sweep": lambda cfg: cfg.mu_values is not None,
+    "pohozaev": lambda cfg: cfg.pohozaev_field is not None or cfg.pohozaev_bubble,
+}
+# the (V1, V2, lambda) sections, written after [potentials]
+_POTENTIALS = {p: (f"{p}.v1", f"{p}.v2", f"{p}.lambda") for p in ("potential", "reference")}
+_SECTIONS = {s for s, _, _ in _SCHEMA}.union(*_POTENTIALS.values())
+_TRUE, _FALSE = ("true", "yes", "1", "on"), ("false", "no", "0", "off")
 
-    def floatv(self, key: str, default=None, required=False):
-        s = self.raw(key, None, required)
-        if s is None:
-            return default
-        return _finite_float(s, f"{self.section}.{key}")
 
-    def intv(self, key: str, default=None, required=False):
-        s = self.raw(key, None, required)
-        if s is None:
-            return default
+def _value(text: str, kind: str, name: str):
+    """The value of key ``name`` as the type its annotation ``kind`` names."""
+    kind = kind.removesuffix(" | None")
+    if kind == "list[float]":
+        items = [t.strip() for t in text.split(",") if t.strip()]
+        if not items:
+            raise ConfigError(f"{name} must be non-empty")
+        return [_value(t, "float", name) for t in items]
+    if kind == "float":
         try:
-            return int(s)
+            x = float(text)
         except ValueError:
-            raise ConfigError(f"{self.section}.{key} must be an integer, got {s!r}") from None
-
-    def boolv(self, key: str, default=False):
-        s = self.raw(key)
-        if s is None:
-            return default
-        low = s.strip().lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"{self.section}.{key} must be a boolean, got {s!r}")
-
-    def check_consumed(self) -> None:
-        extra = set(self.parser.options(self.section)) - self.seen
-        if extra:
-            key = sorted(extra)[0]
-            raise ConfigError(f"unknown key {self.section}.{key}")
+            x = math.nan
+        if not math.isfinite(x):
+            raise ConfigError(f"{name} must be a finite number, got {text!r}")
+        return x
+    if kind == "int":
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"{name} must be an integer, got {text!r}") from None
+    if kind == "bool":
+        if text.strip().lower() not in _TRUE + _FALSE:
+            raise ConfigError(f"{name} must be a boolean, got {text!r}")
+        return text.strip().lower() in _TRUE
+    return text
 
 
-def _parse_potential(parser: configparser.ConfigParser, section: str) -> PotentialDef:
-    if not parser.has_section(section):
-        raise ConfigError(f"missing section [{section}]")
-    r = _Reader(parser, section)
-    kind = r.raw("kind", required=True)
-    if kind not in KIND_PARAMS:
-        raise ConfigError(
-            f"{section}.kind must be one of {sorted(KIND_PARAMS)}, got {kind!r}"
-        )
-    params = tuple(r.floatv(name, required=True) for name in KIND_PARAMS[kind])
-    r.check_consumed()
-    try:
-        return PotentialDef(kind, params)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}]: {exc}") from None
+def _text(value, kind: str) -> str | None:
+    """The canonical text of a value of annotation ``kind``; None leaves out a None or False."""
+    if value is None or value is False:
+        return None
+    kind = kind.removesuffix(" | None")
+    if kind == "float":
+        return fmt_float(value)
+    if kind == "list[float]":
+        return ", ".join(map(fmt_float, value))
+    return str(value).lower() if kind == "bool" else str(value)
 
 
-def _parse_potential_triple(parser, prefix: str):
-    return (
-        _parse_potential(parser, f"{prefix}.v1"),
-        _parse_potential(parser, f"{prefix}.v2"),
-        _parse_potential(parser, f"{prefix}.lambda"),
-    )
+def _read(parser: configparser.ConfigParser, section: str, keys) -> dict:
+    """{field: value} for one section's keys; an absent section reads as its defaults."""
+    given = dict(parser.items(section)) if parser.has_section(section) else {}
+    values = {}
+    for field, key, kind, default in keys:
+        if key in given:
+            values[field] = _value(given.pop(key), kind, f"{section}.{key}")
+        elif default is not MISSING:
+            values[field] = default
+        else:
+            raise ConfigError(f"missing required key {section}.{key}")
+    if given:
+        raise ConfigError(f"unknown key {section}.{min(given)}")
+    return values
+
+
+def _potentials(parser: configparser.ConfigParser, prefix: str) -> tuple:
+    """The (V1, V2, lambda) definitions in the sections ``_POTENTIALS[prefix]``."""
+    defs = []
+    for section in _POTENTIALS[prefix]:
+        if not parser.has_section(section):
+            raise ConfigError(f"missing section [{section}]")
+        kind = parser.get(section, "kind", fallback=None)
+        if kind is not None and kind not in KIND_PARAMS:
+            raise ConfigError(f"{section}.kind must be one of {sorted(KIND_PARAMS)}, got {kind!r}")
+        names = KIND_PARAMS.get(kind, ())
+        keys = (("kind", "kind", "str", MISSING), *((n, n, "float", MISSING) for n in names))
+        values = _read(parser, section, keys)
+        try:
+            defs.append(PotentialDef(kind, tuple(values[n] for n in names)))
+        except ValueError as exc:
+            raise ConfigError(f"[{section}]: {exc}") from None
+    return tuple(defs)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -133,183 +163,72 @@ def parse_config(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from None
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+    for section in ("grid", "problem", "potentials"):
+        if not parser.has_section(section):
+            raise ConfigError(f"missing section [{section}]")
 
-    for required in ("grid", "problem", "potentials"):
-        if not parser.has_section(required):
-            raise ConfigError(f"missing section [{required}]")
-
-    g = _Reader(parser, "grid")
-    try:
-        grid = GridSpec(
-            dim=g.intv("dim", required=True),
-            half_width=g.floatv("half_width", required=True),
-            points_per_dim=g.intv("points_per_dim", required=True),
-            boundary=g.raw("boundary", "periodic"),
-            laplacian_mode=g.raw("laplacian", "spectral"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[grid]: {exc}") from None
-    g.check_consumed()
-
-    p = _Reader(parser, "problem")
-    try:
-        problem = ProblemSpec(
-            dim=grid.dim,
-            p=p.floatv("p", required=True),
-            q=p.floatv("q", required=True),
-            mu=p.floatv("mu", required=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[problem]: {exc}") from None
-    p.check_consumed()
-
-    pots = _Reader(parser, "potentials")
-    delta = pots.floatv("delta", required=True)
-    if not 0.0 < delta < 1.0:
-        raise ConfigError(f"potentials.delta must lie in (0, 1), got {delta}")
-    mode = pots.raw("mode", "periodic")
-    if mode not in VALIDATION_MODES:
-        raise ConfigError(
-            f"potentials.mode must be one of {sorted(VALIDATION_MODES)}, got {mode!r}"
-        )
-    tail_tol = pots.floatv("tail_tol", 1e-2)
-    if not tail_tol > 0:
-        raise ConfigError(f"potentials.tail_tol must be positive, got {tail_tol}")
-    pots.check_consumed()
-
-    pot_defs = _parse_potential_triple(parser, "potential")
-
-    reference_defs = None
-    if parser.has_section("reference.v1"):
-        reference_defs = _parse_potential_triple(parser, "reference")
-
-    solver = SolveOptions()
-    if parser.has_section("solver"):
-        s, d = _Reader(parser, "solver"), solver
-        try:  # the readers raise ConfigError; SolveOptions rejects values with ValueError
-            solver = SolveOptions(
-                max_iters=s.intv("max_iters", d.max_iters),
-                grad_tol=s.floatv("grad_tol", d.grad_tol),
-                seed=s.intv("seed", d.seed),
-                init=s.raw("init", d.init),
-                init_path=s.raw("init_file", d.init_path),
-            )
+    own = {}
+    for section, cls, keys in _SCHEMA:
+        if section in _OPTIONAL and not parser.has_section(section):
+            continue
+        values = _read(parser, section, keys)
+        if cls is None:
+            own.update(values)
+            continue
+        try:  # the owning types reject values with ValueError
+            dim = {"dim": own["grid"].dim} if cls is ProblemSpec else {}
+            own[section] = cls(**dim, **values)
         except ValueError as exc:
-            raise ConfigError(f"[solver]: {exc}") from None
-        s.check_consumed()
+            raise ConfigError(f"[{section}]: {exc}") from None
+    refs = any(s in _POTENTIALS["reference"] for s in parser.sections())  # all three or none
+    reference_defs = _potentials(parser, "reference") if refs else None
+    cfg = RunConfig(pot_defs=_potentials(parser, "potential"), reference_defs=reference_defs, **own)
 
-    mu_values = None
-    if parser.has_section("sweep"):
-        s = _Reader(parser, "sweep")
-        rawv = s.raw("mu_values", required=True)
-        items = [t.strip() for t in rawv.split(",") if t.strip()]
-        if not items:
-            raise ConfigError("sweep.mu_values must be non-empty")
-        mu_values = [_finite_float(t, "sweep.mu_values") for t in items]
-        if any(m < 0 for m in mu_values):
-            raise ConfigError("sweep.mu_values must be nonnegative")
-        if any(b <= a for a, b in zip(mu_values, mu_values[1:])):
-            raise ConfigError("sweep.mu_values must be strictly increasing")
-        s.check_consumed()
-
-    pohozaev_field = None
-    pohozaev_bubble = False
-    bubble_scale = 1.0
-    if parser.has_section("pohozaev"):
-        s = _Reader(parser, "pohozaev")
-        pohozaev_field = s.raw("field")
-        pohozaev_bubble = s.boolv("bubble", False)
-        bubble_scale = s.floatv("bubble_scale", 1.0)
-        if not bubble_scale > 0:
-            raise ConfigError(f"pohozaev.bubble_scale must be positive, got {bubble_scale}")
-        if pohozaev_field is None and not pohozaev_bubble:
-            raise ConfigError("pohozaev section needs either 'field' or 'bubble = true'")
-        s.check_consumed()
-
-    out_dir = "out"
-    if parser.has_section("output"):
-        s = _Reader(parser, "output")
-        out_dir = s.raw("dir", "out")
-        s.check_consumed()
-
-    return RunConfig(
-        grid=grid,
-        problem=problem,
-        pot_defs=pot_defs,
-        delta=delta,
-        mode=mode,
-        solver=solver,
-        tail_tol=tail_tol,
-        reference_defs=reference_defs,
-        mu_values=mu_values,
-        pohozaev_field=pohozaev_field,
-        pohozaev_bubble=pohozaev_bubble,
-        bubble_scale=bubble_scale,
-        out_dir=out_dir,
-    )
+    if not 0.0 < cfg.delta < 1.0:
+        raise ConfigError(f"potentials.delta must lie in (0, 1), got {cfg.delta}")
+    if cfg.mode not in VALIDATION_MODES:
+        raise ConfigError(
+            f"potentials.mode must be one of {sorted(VALIDATION_MODES)}, got {cfg.mode!r}"
+        )
+    if not cfg.tail_tol > 0:
+        raise ConfigError(f"potentials.tail_tol must be positive, got {cfg.tail_tol}")
+    if cfg.solver.init == "file" and cfg.solver.init_path is None:
+        raise ConfigError("solver.init = file requires solver.init_file")
+    if cfg.solver.init != "file" and cfg.solver.init_path is not None:
+        raise ConfigError("solver.init_file is read only with solver.init = file")
+    mus = cfg.mu_values or []
+    if any(m < 0 for m in mus):
+        raise ConfigError("sweep.mu_values must be nonnegative")
+    if any(b <= a for a, b in zip(mus, mus[1:])):
+        raise ConfigError("sweep.mu_values must be strictly increasing")
+    if not cfg.bubble_scale > 0:
+        raise ConfigError(f"pohozaev.bubble_scale must be positive, got {cfg.bubble_scale}")
+    if parser.has_section("pohozaev") and not _OPTIONAL["pohozaev"](cfg):
+        raise ConfigError("pohozaev section needs either 'field' or 'bubble = true'")
+    return cfg
 
 
-def _emit_potential(out: io.StringIO, section: str, d: PotentialDef) -> None:
+def _potential_rows(d: PotentialDef) -> list[tuple[str, str]]:
     if d.kind not in KIND_PARAMS:
         raise ConfigError(f"potential kind {d.kind!r} has no config representation")
-    out.write(f"[{section}]\n")
-    out.write(f"kind = {d.kind}\n")
-    for name, val in zip(KIND_PARAMS[d.kind], d.params):
-        out.write(f"{name} = {fmt_float(val)}\n")
-    out.write("\n")
+    return [("kind", d.kind), *zip(KIND_PARAMS[d.kind], map(fmt_float, d.params))]
 
 
 def canonical_config(cfg: RunConfig) -> str:
     """Serialize to the canonical form (fixed section and key order)."""
-    out = io.StringIO()
-    out.write("[grid]\n")
-    out.write(f"dim = {cfg.grid.dim}\n")
-    out.write(f"half_width = {fmt_float(cfg.grid.half_width)}\n")
-    out.write(f"points_per_dim = {cfg.grid.points_per_dim}\n")
-    out.write(f"boundary = {cfg.grid.boundary}\n")
-    out.write(f"laplacian = {cfg.grid.laplacian_mode}\n\n")
-
-    out.write("[problem]\n")
-    out.write(f"p = {fmt_float(cfg.problem.p)}\n")
-    out.write(f"q = {fmt_float(cfg.problem.q)}\n")
-    out.write(f"mu = {fmt_float(cfg.problem.mu)}\n\n")
-
-    out.write("[potentials]\n")
-    out.write(f"delta = {fmt_float(cfg.delta)}\n")
-    out.write(f"mode = {cfg.mode}\n")
-    out.write(f"tail_tol = {fmt_float(cfg.tail_tol)}\n\n")
-
-    for section, d in zip(("potential.v1", "potential.v2", "potential.lambda"), cfg.pot_defs):
-        _emit_potential(out, section, d)
-    if cfg.reference_defs is not None:
-        for section, d in zip(
-            ("reference.v1", "reference.v2", "reference.lambda"), cfg.reference_defs
-        ):
-            _emit_potential(out, section, d)
-
-    s = cfg.solver
-    out.write("[solver]\n")
-    out.write(f"max_iters = {s.max_iters}\n")
-    out.write(f"grad_tol = {fmt_float(s.grad_tol)}\n")
-    out.write(f"seed = {s.seed}\n")
-    out.write(f"init = {s.init}\n")
-    if s.init_path is not None:
-        out.write(f"init_file = {s.init_path}\n")
-    out.write("\n")
-
-    if cfg.mu_values is not None:
-        out.write("[sweep]\n")
-        out.write("mu_values = " + ", ".join(fmt_float(m) for m in cfg.mu_values) + "\n\n")
-
-    if cfg.pohozaev_field is not None or cfg.pohozaev_bubble:
-        out.write("[pohozaev]\n")
-        if cfg.pohozaev_field is not None:
-            out.write(f"field = {cfg.pohozaev_field}\n")
-        if cfg.pohozaev_bubble:
-            out.write("bubble = true\n")
-        out.write(f"bubble_scale = {fmt_float(cfg.bubble_scale)}\n")
-        out.write("\n")
-
-    out.write("[output]\n")
-    out.write(f"dir = {cfg.out_dir}\n")
-    return out.getvalue()
+    sections = []
+    for section, cls, keys in _SCHEMA:
+        owner = cfg if cls is None else getattr(cfg, section)
+        if section not in _OPTIONAL or _OPTIONAL[section](cfg):
+            texts = ((key, _text(getattr(owner, field), kind)) for field, key, kind, _ in keys)
+            sections.append((section, [(k, t) for k, t in texts if t is not None]))
+        if section == "potentials":
+            for p, defs in (("potential", cfg.pot_defs), ("reference", cfg.reference_defs)):
+                if defs is not None:
+                    sections += [(s, _potential_rows(d)) for s, d in zip(_POTENTIALS[p], defs)]
+    return "\n".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in rows) for section, rows in sections
+    )

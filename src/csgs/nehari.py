@@ -97,13 +97,11 @@ def _root(a: float, b: float, quad: float, spec: ProblemSpec):
         hi = 4.0
         while _phi(hi, a, b, ep, eq, quad) < 0.0:
             hi *= 4.0
-            if not math.isfinite(hi) or hi > 1e300:
-                # certified analytic cap: phi >= 0 once either term reaches B
-                hi = min(
-                    (quad / a) ** (1.0 / ep) if a > 0 else math.inf,
-                    (quad / b) ** (1.0 / eq) if b > 0 else math.inf,
+            if hi > 1e300:  # the root exceeds 4^498, so its p-th power would overflow
+                raise NonFiniteEnergyError(
+                    f"the fibering root for B = {quad}, mu ||u||_p^p = {a}, ||v||_q^q = {b} "
+                    "exceeds 4^498; its powers leave the double range"
                 )
-                break
     bracket = (lo, hi)
 
     # safeguarded Newton with bisection fallback; the tolerance is relative

@@ -165,6 +165,28 @@ class TestConfig:
         keys = [line.split(" = ")[0] for line in section.splitlines()]
         assert keys == ["max_iters", "grad_tol", "seed", "init"]
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ("\n[sovler]\nmax_iters = 3\n", r"unknown section \[sovler\]"),
+            ("init = random\ninit_file = s.csgs\n", r"solver\.init_file"),
+            ("init = file\n", r"solver\.init_file"),
+            ("\n[reference.v2]\nkind = constant\nvalue = 1.0\n", r"missing section \[reference\.v1\]"),
+        ],
+        ids=["misspelled-section", "init-file-unread", "init-file-missing", "lone-reference"],
+    )
+    def test_dropped_input_rejected(self, extra, named):
+        # each of these used to parse without complaint
+        with pytest.raises(ConfigError, match=named):
+            parse_config(BASE_CFG + extra)
+
+    def test_readme_config_parses_and_roundtrips(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("A minimal config:\n\n```ini\n")[1].split("```")[0]
+        cfg = parse_config(block)
+        assert parse_config(canonical_config(cfg)) == cfg
+        assert cfg.mu_values == [0.5, 1, 2, 4, 8, 16] and cfg.pohozaev_bubble
+
     def test_gaussian_potential_roundtrip(self):
         text = BASE_CFG.replace(
             "[potential.lambda]\nkind = constant\nvalue = 0.3",
@@ -397,6 +419,23 @@ class TestCli:
         text = BASE_CFG.replace("grad_tol = 1e-6", f"grad_tol = 1e-6\ninit = file\ninit_file = {absent}")
         cfg = self._write(tmp_path, text + "\n[sweep]\nmu_values = 1.0\n")
         code = run_cli(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "solver.init" in capsys.readouterr().err
+
+    def test_compare_with_init_file_exit1(self, tmp_path, capsys):
+        field = tmp_path / "start.csgs"
+        write_field(random_pair(build_grid(GridSpec(1, 4.0, 64))), field)
+        # Gaussian wells below a constant reference set pass the asymptotic checks
+        sets = "".join(
+            f"[potential.{name}]\nkind = gaussian\nbase = {base}\namp = {amp}\nsigma = 1.0\n"
+            f"[reference.{name}]\nkind = constant\nvalue = {base}\n"
+            for name, base, amp in (("v1", 2.0, -0.5), ("v2", 2.0, -0.5), ("lambda", 0.4, 0.1))
+        )
+        head = BASE_CFG.split("[potential.v1]")[0]
+        head = head.replace("delta = 0.3\nmode = periodic", "delta = 0.5\nmode = asymptotic")
+        text = head + sets + f"[solver]\ninit = file\ninit_file = {field}\n"
+        cfg = self._write(tmp_path, text)
+        code = run_cli(["compare", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 1
         assert "solver.init" in capsys.readouterr().err
 

@@ -15,6 +15,7 @@ from csgs import (
     sample_potentials,
 )
 from csgs.errors import (
+    ConvergenceError,
     DegenerateNonlinearityError,
     NonFiniteEnergyError,
     NonpositiveQuadraticFormError,
@@ -95,6 +96,24 @@ class TestFiberingScale:
         inv = PairInvariants(quad=quad, coupling=0.0, pnorm_mu=0.0, qnorm=qnorm)
         with pytest.raises(NonFiniteEnergyError, match="double range"):
             fibering_scale_from_invariants(inv, spec)
+
+    def test_root_beyond_the_upward_bracket(self):
+        # phi(t) = t^0.1 10^-30.5 - 1 has its root at 1e305, past the bracket's 4^498;
+        # its p-th power cannot be represented
+        inv = PairInvariants(quad=1.0, coupling=0.0, pnorm_mu=0.0, qnorm=10**-30.5)
+        with pytest.raises(NonFiniteEnergyError, match="double range"):
+            fibering_scale_from_invariants(inv, ProblemSpec(3, 2.1, 2.1, 1.0))
+
+    @pytest.mark.xfail(
+        strict=True, raises=ConvergenceError,
+        reason="the downward bracket keeps hi = 1 and Newton starts at sqrt(lo), "
+        "so it halves its way down to a tiny root",
+    )
+    def test_tiny_root_within_budget(self):
+        # phi(t) = t^2 1e250 - 1: the root 1e-125 is representable
+        inv = PairInvariants(quad=1.0, coupling=0.0, pnorm_mu=0.0, qnorm=1e250)
+        diag = fibering_scale_from_invariants(inv, ProblemSpec(3, 4.0, 4.0, 1.0))
+        assert diag.t_mu == pytest.approx(1e-125, rel=1e-12)
 
     @pytest.mark.parametrize(
         "quad, pnorm_mu, qnorm",

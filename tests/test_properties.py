@@ -203,8 +203,9 @@ def config_texts(draw):
             "grad_tol": POSITIVE.map(repr),
             "seed": st.integers(-(2**31), 2**31),
             "init": st.sampled_from(INIT_MODES),
-            "init_file": PATHS,
         })
+        if text.endswith("init = file\n"):  # init_file is read exactly when init = file
+            text += f"init_file = {draw(PATHS)}\n"
     if draw(st.booleans()):
         mus = sorted(draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=5, unique=True)))
         text += "[sweep]\nmu_values = " + ", ".join(repr(m) for m in mus) + "\n"
