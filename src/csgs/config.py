@@ -158,7 +158,9 @@ def _potentials(parser: configparser.ConfigParser, prefix: str) -> tuple:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document."""
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(  # no header names section "", so [DEFAULT] is unknown
+        interpolation=None, inline_comment_prefixes=("#",), default_section=""
+    )
     try:
         parser.read_string(text)
     except configparser.Error as exc:

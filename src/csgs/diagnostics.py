@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CandidateNotPositiveError
-from .functional import ProblemSpec, energy_gradient, pair_norm_l2
+from .functional import ProblemSpec, _gradient, pair_norm_l2
 from .grid import FieldPair, Grid, apply_laplacian, integrate
 from .potentials import PotentialSet, _node_coord, _shell_mask
 
@@ -119,10 +119,14 @@ def pohozaev_residual(
         * integrate(rad_v1 * u * u + rad_v2 * v * v, grid),
     }
     rhs = sum(terms.values())
-    lhs = integrate(u * (-apply_laplacian(u, grid)) + v * (-apply_laplacian(v, grid)), grid)
+    lap_u, lap_v = apply_laplacian(u, grid), apply_laplacian(v, grid)
+    lhs = integrate(u * (-lap_u) + v * (-lap_v), grid)
     residual = abs(lhs - rhs)
 
-    grad_norm = pair_norm_l2(energy_gradient(fp, ps, spec, grid), grid)
+    gu, gv, work = np.empty((3, *grid.shape))  # energy_gradient on the Laplacians above
+    with np.errstate(over="ignore"):
+        _gradient(u, v, lap_u, lap_v, ps, spec, gu, gv, work)
+    grad_norm = pair_norm_l2(FieldPair(gu, gv, grid), grid)
 
     return PohozaevReport(
         lhs=float(lhs),

@@ -197,17 +197,17 @@ def _lp_sum(f: np.ndarray, p: float, grid: Grid, work: np.ndarray, spare=None) -
 
 
 def _forward(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """``np.fft.rfftn`` over every axis, one axis at a time as rfftn does it."""
+    """``np.fft.rfftn``, one axis at a time as rfftn does it, the ``fft`` passes in place."""
     fh = np.fft.rfft(f, axis=grid.spec.dim - 1)
     for ax in range(grid.spec.dim - 2, -1, -1):
-        fh = np.fft.fft(fh, axis=ax)
+        np.fft.fft(fh, axis=ax, out=fh)
     return fh
 
 
 def _inverse(fh: np.ndarray, grid: Grid) -> np.ndarray:
-    """``np.fft.irfftn`` back to the grid's shape, one axis at a time as irfftn does it."""
+    """``np.fft.irfftn``, one axis at a time as irfftn does it; the ``ifft``s overwrite ``fh``."""
     for ax in range(grid.spec.dim - 1):
-        fh = np.fft.ifft(fh, axis=ax)
+        np.fft.ifft(fh, axis=ax, out=fh)
     return np.fft.irfft(fh, grid.spec.points_per_dim, axis=grid.spec.dim - 1)
 
 

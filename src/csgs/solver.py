@@ -412,7 +412,11 @@ def estimate_sobolev_constant(grid: Grid, *, search_radius: float = 0.01) -> flo
     smoothed by an H^1 preconditioner and projected off the quotient's
     symmetry directions (constants, dilations, translations), and the
     returned value converges under grid refinement a couple of percent
-    below the sampled bubble's quotient.
+    below the sampled bubble's quotient.  The five directions live in one
+    block per polish, and each projection goes through their 5x5 quadrature
+    Gram matrix: Gram-Schmidt on coefficient vectors in that order (dropping
+    a direction whose remaining norm is at most 1e-13), then two products
+    over the block, by ``np.einsum``, not BLAS, whose rounding varies by CPU.
 
     The polish stops when the preconditioned slope is at most
     ``1e-8 max(1, quotient)``.  On the ball's wall, where a step that points
@@ -437,6 +441,10 @@ def estimate_sobolev_constant(grid: Grid, *, search_radius: float = 0.01) -> flo
     num, den6, lap = _quotient_parts(u, grid)
     quot = num / den6 ** (1.0 / 3.0)
     on_wall = False
+    # the symmetry directions: constant (row 0 stays 1), dilation 0.5 u + x . grad u, the three
+    # partials; sums run within each of n slabs by einsum, across slabs by pairwise np.add.reduce
+    rows = np.ones((5, *grid.shape))
+    slabs = rows.reshape(5, grid.spec.points_per_dim, -1)
 
     step = 1.0
 
@@ -448,31 +456,27 @@ def estimate_sobolev_constant(grid: Grid, *, search_radius: float = 0.01) -> flo
             return anchor + w * (cap / wn), True
         return f, False
 
+    def project(f):
+        """f minus its quadrature projection onto the span of the rows, by ``onto``."""
+        inner = np.add.reduce(np.einsum("ibk,bk->ib", slabs, f.reshape(slabs.shape[1:])), 1)
+        return f - np.einsum("i,i...", np.einsum("ij,j", onto, grid.cell_volume * inner), rows)
+
     for _ in range(400):
         den2 = den6 ** (1.0 / 3.0)
         raw = (2.0 / den2) * ((-lap) - (num / den6) * u**5)
 
-        partials = spectral_partials(u, grid)
-        degenerate = [
-            np.ones(grid.shape),
-            0.5 * u + sum(c * d for c, d in zip(grid.coords, partials)),
-        ]
-        degenerate.extend(partials)
-        basis: list[np.ndarray] = []
-        for vec in degenerate:
-            w = vec.copy()
+        rows[2:] = spectral_partials(u, grid)
+        rows[1] = 0.5 * u + sum(c * d for c, d in zip(grid.coords, rows[2:]))
+        gram = grid.cell_volume * np.add.reduce(np.einsum("ibk,jbk->ijb", slabs, slabs), axis=2)
+        basis = []  # Gram-Schmidt on coefficient vectors over the rows
+        for c in np.eye(5):
             for b in basis:
-                w -= integrate(w * b, grid) * b
-            nrm = np.sqrt(max(integrate(w * w, grid), 0.0))
+                c = c - np.einsum("i,ij,j", c, gram, b) * b
+            nrm = math.sqrt(max(np.einsum("i,ij,j", c, gram, c), 0.0))
             if nrm > 1e-13:
-                basis.append(w / nrm)
-
-        projected = raw
-        for b in basis:
-            projected = projected - integrate(projected * b, grid) * b
-        direction = shifted_inverse(projected, 1.0, grid)  # (1 - Lap)^-1
-        for b in basis:
-            direction = direction - integrate(direction * b, grid) * b
+                basis.append(c / nrm)
+        onto = np.einsum("ki,kj->ij", basis, basis)  # the projector in row coefficients
+        direction = project(shifted_inverse(project(raw), 1.0, grid))  # (1 - Lap)^-1
 
         slope = integrate(direction * raw, grid)
         if on_wall:

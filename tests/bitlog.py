@@ -2,11 +2,12 @@
 
     PYTHONPATH=src:tests python -m pytest -q -p bitlog --bitlog bits.jsonl
 
-While the suite runs, every result of ``minimize_ground_state`` and
-``estimate_sobolev_constant`` is recorded as one JSON line: the test that
-produced it, the call's index within that test, ``float.hex`` of the energy
-and the gradient norm (or of the estimate), the iteration count, and the
-flags.  A call that raises records the exception's type.
+While the suite runs, every result of ``minimize_ground_state``,
+``estimate_sobolev_constant`` and ``pohozaev_residual`` is recorded as one JSON
+line: the test that produced it, the call's index within that test,
+``float.hex`` of the energy and the gradient norm, the iteration count and the
+flags of a solve, of the estimate, or of ``lhs``, ``rhs`` and ``grad_norm`` of a
+Pohozaev balance.  A call that raises records the exception's type.
 Two logs of the same suite, run on two versions of the code, are identical
 exactly when every result kept every bit, so ``diff`` compares them.
 
@@ -16,21 +17,28 @@ Without ``-p bitlog`` the plugin is not loaded and the suite is unchanged.
 from __future__ import annotations
 
 import functools
+import importlib
 import json
 import os
 import sys
 
-_WRAPPED = ("minimize_ground_state", "estimate_sobolev_constant")
+_WRAPPED = {
+    "csgs.solver": ("minimize_ground_state", "estimate_sobolev_constant"),
+    "csgs.diagnostics": ("pohozaev_residual",),
+}
 
 
 def pytest_addoption(parser):
     parser.addoption("--bitlog", metavar="PATH", default=None,
-                     help="write the bits of every solve and Sobolev estimate to PATH")
+                     help="write the bits of every solve, Sobolev estimate and Pohozaev balance "
+                          "to PATH")
 
 
 def _describe(name, result):
     if name == "estimate_sobolev_constant":
         return {"estimate": float.hex(result)}
+    if name == "pohozaev_residual":
+        return {k: float.hex(getattr(result, k)) for k in ("lhs", "rhs", "grad_norm")}
     return {
         "energy": float.hex(result.energy),
         "grad_norm": float.hex(result.grad_norm),
@@ -73,14 +81,13 @@ class BitLog:
         return logged
 
     def install(self):
-        import csgs.solver
-
-        for name in _WRAPPED:
-            original = getattr(csgs.solver, name)
-            wrapper = self._wrap(name, original)
-            self.originals[name] = (original, wrapper)
-            # rebind every loaded module's reference, the package's re-export included
-            _rebind(name, original, wrapper)
+        for module, names in _WRAPPED.items():
+            for name in names:
+                original = getattr(importlib.import_module(module), name)
+                wrapper = self._wrap(name, original)
+                self.originals[name] = (original, wrapper)
+                # rebind every loaded module's reference, the package's re-export included
+                _rebind(name, original, wrapper)
 
     def uninstall(self):
         for name, (original, wrapper) in self.originals.items():

@@ -10,7 +10,10 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
 CASE = """
-from csgs import GridSpec, PotentialDef, ProblemSpec, SolveOptions, build_grid, sample_potentials
+import numpy as np
+from csgs import (FieldPair, GridSpec, PotentialDef, ProblemSpec, SolveOptions, build_grid,
+                  sample_potentials)
+from csgs.diagnostics import pohozaev_residual
 from csgs.solver import minimize_ground_state
 
 def test_solve():
@@ -19,6 +22,14 @@ def test_solve():
     ps = sample_potentials((C(1.0), C(1.0), C(0.3)), 0.3, g)
     rep = minimize_ground_state(ps, ProblemSpec(1, 4.0, 4.0, 1.0), g, SolveOptions(max_iters=5))
     print("ENERGY", rep.energy.hex())
+
+def test_pohozaev():
+    g = build_grid(GridSpec(3, 4.0, 8))
+    C = PotentialDef.constant
+    ps = sample_potentials((C(1.0), C(1.0), C(0.3)), 0.5, g)
+    fp = FieldPair(np.exp(-g.radius_sq), 0.5 * np.exp(-g.radius_sq), g)
+    rep = pohozaev_residual(fp, ps, ProblemSpec(3, 6.0, 6.0, 1.0), g)
+    print("POHOZAEV", rep.lhs.hex(), rep.rhs.hex(), rep.grad_norm.hex())
 """
 
 
@@ -37,11 +48,15 @@ def test_records_each_solve_bit_for_bit(tmp_path):
     run = _pytest(tmp_path, "-p", "bitlog", "--bitlog", str(log))
     assert run.returncode == 0, run.stdout + run.stderr
     energy = run.stdout.split("ENERGY ", 1)[1].split()[0]
-    (record,) = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    balance = run.stdout.split("POHOZAEV ", 1)[1].split()[:3]
+    balanced, record = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
     assert record["test"] == "test_case.py::test_solve"
     assert record["fn"] == "minimize_ground_state"
     assert record["energy"] == energy
     assert record["iterations"] == 5 and record["converged"] is False
+    assert balanced["test"] == "test_case.py::test_pohozaev"
+    assert balanced["fn"] == "pohozaev_residual" and balanced["call"] == 0
+    assert [balanced[k] for k in ("lhs", "rhs", "grad_norm")] == balance
 
 
 def test_not_loaded_by_default(tmp_path):

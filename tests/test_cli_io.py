@@ -172,8 +172,10 @@ class TestConfig:
             ("init = random\ninit_file = s.csgs\n", r"solver\.init_file"),
             ("init = file\n", r"solver\.init_file"),
             ("\n[reference.v2]\nkind = constant\nvalue = 1.0\n", r"missing section \[reference\.v1\]"),
+            ("\n[DEFAULT]\n", r"unknown section \[DEFAULT\]"),
         ],
-        ids=["misspelled-section", "init-file-unread", "init-file-missing", "lone-reference"],
+        ids=["misspelled-section", "init-file-unread", "init-file-missing", "lone-reference",
+             "default-section"],
     )
     def test_dropped_input_rejected(self, extra, named):
         # each of these used to parse without complaint

@@ -116,6 +116,17 @@ class TestLaplacian:
         with pytest.raises(GridMismatchError):
             shifted_inverse(np.ones(g.shape), 1.0, g)
 
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+    def test_spectral_kernels_leave_their_argument(self, dim, n):
+        # the inverse transforms run in place in their temporaries, never in the input
+        g = build_grid(GridSpec(dim, 3.0, n))
+        f = random_pair(g, 5).u
+        before = f.copy()
+        apply_laplacian(f, g)
+        shifted_inverse(f, 1.0, g)
+        spectral_partials(f, g)
+        assert np.array_equal(f, before)
+
     def test_spectral_partials_eigenfunction(self, grid_1d_unit):
         x = grid_1d_unit.axis_coords
         (df,) = spectral_partials(np.sin(np.pi * x), grid_1d_unit)

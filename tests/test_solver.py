@@ -273,9 +273,9 @@ class TestSobolev:
     @pytest.mark.parametrize(
         "mode, half_width, n, radius, expected",
         [
-            ("fd2", 8.0, 32, 0.01, "0x1.18deac73d41ddp+2"),
-            ("fd2", 8.0, 32, 0.005, "0x1.1b2e9e40bb1c6p+2"),
-            ("fd2", 8.0, 32, 0.02, "0x1.1442c1cab2571p+2"),
+            ("fd2", 8.0, 32, 0.01, "0x1.18deac73d41dep+2"),
+            ("fd2", 8.0, 32, 0.005, "0x1.1b2e9e40bb1cap+2"),
+            ("fd2", 8.0, 32, 0.02, "0x1.1442c1cab2575p+2"),
             ("spectral", 6.0, 24, 0.01, "0x1.090ba356b9ef6p+2"),
         ],
     )
