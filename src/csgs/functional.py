@@ -140,7 +140,8 @@ def _invariants(u, v, lap_u, lap_v, ps, spec: ProblemSpec, grid, w1, w2) -> Pair
 
 
 def pair_invariants(fp: FieldPair, ps: PotentialSet, spec: ProblemSpec, grid: Grid) -> PairInvariants:
-    """Compute (B, 2*coupling, mu ||u||_p^p, ||v||_q^q) in one sweep."""
+    """Compute (B, 2*coupling, mu ||u||_p^p, ||v||_q^q) in one sweep, as the descent does: the
+    L^p sums run in array order, unlike :func:`lp_integral`'s, so a lattice shift moves bits."""
     _check(fp, ps, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         return _invariants(*_arrays(fp, grid), ps, spec, grid, *np.empty((2, *grid.shape)))

@@ -176,23 +176,26 @@ def lp_integral(f: np.ndarray, p: float, grid: Grid) -> float:
 
     The nonnegative addends are sorted before pairwise summation, so any
     relabeling of nodes that preserves the value multiset (in particular
-    lattice translations on periodic grids) yields the bit-identical result.
+    lattice translations on periodic grids) yields the bit-identical result; only this
+    function sorts, the descent's sums run in array order (:func:`_lp_sum`).
     Whole exponents are raised by multiplication, others by ``pow``.
     """
     grid.check_conforms(f)
+    work = np.empty(grid.shape)
     with np.errstate(over="ignore"):
-        return _lp_sum(f, p, grid, np.empty(grid.shape))
+        _lp_sum(f, p, grid, work)
+    work.reshape(-1).sort()
+    return _quadrature(work, grid)
 
 
 def _lp_sum(f: np.ndarray, p: float, grid: Grid, work: np.ndarray, spare=None) -> float:
-    """:func:`lp_integral` without its check and guard; |f|^p is raised and sorted in ``work``,
-    with ``spare`` for :func:`_whole_power`."""
+    """|f|^p into ``work`` (``spare`` for :func:`_whole_power`) and its quadrature in array order,
+    without :func:`lp_integral`'s check, guard and sort, so a lattice shift can move its bits."""
     vals = np.abs(f, work).reshape(-1)
     if float(p).is_integer() and p >= 1:
         _whole_power(vals, int(p), None if spare is None else spare.reshape(-1))
     else:
         vals **= p
-    vals.sort()
     return _quadrature(vals, grid)
 
 

@@ -9,16 +9,27 @@ line: the test that produced it, the call's index within that test,
 flags of a solve, of the estimate, or of ``lhs``, ``rhs`` and ``grad_norm`` of a
 Pohozaev balance.  A call that raises records the exception's type.
 Two logs of the same suite, run on two versions of the code, are identical
-exactly when every result kept every bit, so ``diff`` compares them.
+exactly when every result kept every bit, so ``diff`` compares them.  A change
+that moves results by rounding is compared within a tolerance instead:
+
+    python tests/bitlog.py PARENT.jsonl CHANGE.jsonl --rtol 1e-9
+
+matches records by (test, call, fn), prints how many kept their bits, the
+largest relative move of each float field and the changed iteration counts, and
+exits 1 if a record is missing on either side, a float moved by more than
+``rtol``, or ``converged``, ``failure`` or ``raised`` changed.  A solve's
+gradient norm is the residual it stopped at, so only ``converged`` bounds it.
 
 Without ``-p bitlog`` the plugin is not loaded and the suite is unchanged.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import importlib
 import json
+import math
 import os
 import sys
 
@@ -26,6 +37,11 @@ _WRAPPED = {
     "csgs.solver": ("minimize_ground_state", "estimate_sobolev_constant"),
     "csgs.diagnostics": ("pohozaev_residual",),
 }
+FLOATS = ("energy", "grad_norm", "estimate", "lhs", "rhs")
+FLAGS = ("converged", "failure", "raised")
+# a solve's gradient norm is the residual it stopped at, below its tolerance exactly when
+# ``converged`` says so; a results change moves it freely, so ``rtol`` does not bound it
+RESIDUALS = {("minimize_ground_state", "grad_norm")}
 
 
 def pytest_addoption(parser):
@@ -112,3 +128,74 @@ def pytest_unconfigure(config):
     if log is not None:
         log.uninstall()
         log.write()
+
+
+def _load(path):
+    with open(path, encoding="utf-8") as fh:
+        records = (json.loads(line) for line in fh if line.strip())
+        return {(r["test"], r["call"], r["fn"]): r for r in records}
+
+
+def _relative_move(old, new):
+    """|new - old| / |old| of two ``float.hex`` strings; infinite for a move off 0, inf or NaN."""
+    if old == new:
+        return 0.0
+    a, b = float.fromhex(old), float.fromhex(new)
+    move = abs(b - a) / abs(a) if a else math.inf
+    return move if math.isfinite(move) else math.inf
+
+
+def compare(parent, change, rtol):
+    """Print how ``change``'s records differ from ``parent``'s; False if they differ beyond
+    ``rtol``, in a flag, or in which records there are."""
+    ok = True
+    for side, keys in (("change", parent.keys() - change.keys()),
+                       ("parent", change.keys() - parent.keys())):
+        for key in sorted(keys):
+            print(f"missing from the {side}: {key}")
+            ok = False
+    common = sorted(parent.keys() & change.keys())
+    moved = [key for key in common if parent[key] != change[key]]
+    print(f"{len(common)} records matched: {len(common) - len(moved)} identical, "
+          f"{len(moved)} moved")
+    for fn in sorted({key[2] for key in common}):
+        for field in FLOATS:
+            moves = [(_relative_move(parent[k][field], change[k][field]), k) for k in common
+                     if k[2] == fn and field in parent[k] and field in change[k]]
+            if not moves:
+                continue
+            worst, key = max(moves)
+            held = (fn, field) not in RESIDUALS
+            print(f"{fn} {field}: {sum(m > 0.0 for m, _ in moves)} of {len(moves)} moved, "
+                  f"largest relative move {worst:.3g}" + (f" at {key[0]}[{key[1]}]" if worst else "")
+                  + ("" if held else " (a stopping residual, not held to rtol)"))
+            ok = ok and (worst <= rtol or not held)
+    counted = [k for k in common if "iterations" in parent[k] and "iterations" in change[k]]
+    steps = [(k, parent[k]["iterations"], change[k]["iterations"]) for k in counted
+             if parent[k]["iterations"] != change[k]["iterations"]]
+    if counted:
+        print(f"iterations: {len(steps)} of {len(counted)} changed, in total "
+              f"{sum(parent[k]['iterations'] for k in counted)} -> "
+              f"{sum(change[k]['iterations'] for k in counted)}")
+    for key, old, new in steps:
+        print(f"iterations {old} -> {new} at {key[0]}[{key[1]}]")
+    for key in common:
+        for flag in FLAGS:
+            if parent[key].get(flag) != change[key].get(flag):
+                print(f"{flag} {parent[key].get(flag)!r} -> {change[key].get(flag)!r} "
+                      f"at {key[0]}[{key[1]}]")
+                ok = False
+    return ok
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description="Compare two bit logs within a relative tolerance.")
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--rtol", type=float, default=0.0)
+    args = ap.parse_args(argv)
+    return 0 if compare(_load(args.parent), _load(args.change), args.rtol) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

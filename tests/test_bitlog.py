@@ -1,10 +1,13 @@
-"""The opt-in bit log records every solve's bits and leaves the suite alone without -p."""
+"""The opt-in bit log records every solve's bits, leaves the suite alone without -p, and
+compares two logs within a tolerance."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -63,3 +66,30 @@ def test_not_loaded_by_default(tmp_path):
     run = _pytest(tmp_path, "--bitlog", str(tmp_path / "bits.jsonl"))
     assert run.returncode != 0
     assert "unrecognized arguments: --bitlog" in run.stderr
+
+
+def _solve(test, energy, iterations=10, converged=True, grad_norm=1e-7):
+    return {"test": test, "call": 0, "fn": "minimize_ground_state", "energy": float.hex(energy),
+            "grad_norm": float.hex(grad_norm), "iterations": iterations, "converged": converged,
+            "failure": None}
+
+
+@pytest.mark.parametrize("change, status, says", [
+    # a solve's gradient norm is its stopping residual, which only ``converged`` bounds
+    ([_solve("a", 2.0), _solve("b", 3.0 * (1 + 1e-12), 12, grad_norm=5e-7)], 0,
+     "1 identical, 1 moved"),
+    ([_solve("a", 2.0), _solve("b", 3.0 * (1 + 1e-8))], 1, "largest relative move 1e-08"),
+    ([_solve("a", 2.0)], 1, "missing from the change"),
+    ([_solve("a", 2.0), _solve("b", 3.0, converged=False)], 1, "converged True -> False"),
+])
+def test_compares_two_logs_within_a_tolerance(tmp_path, change, status, says):
+    logs = []
+    for name, records in (("parent", [_solve("a", 2.0), _solve("b", 3.0)]), ("change", change)):
+        logs.append(tmp_path / f"{name}.jsonl")
+        logs[-1].write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    run = subprocess.run([sys.executable, str(TESTS / "bitlog.py"), *map(str, logs),
+                          "--rtol", "1e-9"], capture_output=True, text=True)
+    assert run.returncode == status, run.stdout + run.stderr
+    assert says in run.stdout
+    if status == 0:
+        assert "iterations: 1 of 2 changed, in total 20 -> 22" in run.stdout

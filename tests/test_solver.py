@@ -511,15 +511,15 @@ class TestWorkspaceDescent:
         [
             (GridSpec(1, 4.0, 128), 0.3, ProblemSpec(1, 4.0, 4.0, 1.0),
              SolveOptions(init="random", seed=3),
-             "0x1.2bf012a0eaf51p+0", "0x1.07df643ff2e8ep-20", 673),
+             "0x1.2bf012a0ea69bp+0", "0x1.7653e02d16cabp-21", 709),
             (GridSpec(3, 6.0, 16), 0.9, ProblemSpec(3, 4.0, 6.0, 4.0), SolveOptions(),
-             "0x1.8d9bd8dfcffe1p+1", "0x1.9063ea4f47a00p-21", 197),
+             "0x1.8d9bd8dfd05dap+1", "0x1.f12a7ede719d4p-21", 221),
             (GridSpec(1, 4.0, 64, "dirichlet", "fd2"), 0.3, ProblemSpec(1, 4.0, 4.0, 1.0),
-             SolveOptions(), "0x1.30b8d6d802f33p+0", "0x1.09d04a7863d6cp-20", 1232),
+             SolveOptions(), "0x1.30b8d6d80c980p+0", "0x1.0954701ddd297p-20", 898),
             (GridSpec(1, 4.0, 64), 0.3, ProblemSpec(1, 2.5, 3.5, 1.0), SolveOptions(),
-             "0x1.e91ccdccc0b5ep-2", "0x1.082fb3c621df6p-20", 713),
+             "0x1.e91ccdccc25eep-2", "0x1.0b36f36672ddcp-20", 687),
             (GridSpec(2, 4.0, 16, "periodic", "fd2"), 0.3, ProblemSpec(2, 4.0, 5.0, 0.0),
-             SolveOptions(), "0x1.cf493d2b4d13fp+1", "0x1.dc4425690e418p-21", 76),
+             SolveOptions(), "0x1.cf493d2b4d138p+1", "0x1.dc44328ec9bbfp-21", 76),
         ],
         ids=["random-1d", "critical-3d", "dirichlet-1d", "fractional-1d", "mu-zero-2d"],
     )
