@@ -12,6 +12,7 @@ which is strictly increasing for t > 0 because p, q > 2.  The projection
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -32,22 +33,16 @@ class FiberingDiagnostics:
 
     t_mu: float
     g_at_t: float          # energy of the projected pair
-    bracket: tuple[float, float]
     iterations: int
     residual: float        # |phi(t_mu)|
-
-
-def _phi(t: float, a: float, b: float, ep: float, eq: float, quad: float) -> float:
-    """phi(t), with ep = p - 2 and eq = q - 2."""
-    return t**ep * a + t**eq * b - quad
 
 
 def fibering_scale_from_invariants(inv: PairInvariants, spec: ProblemSpec) -> FiberingDiagnostics:
     """Solve phi(t) = 0 given precomputed quadrature scalars.
 
     Raises NonFiniteEnergyError when B, mu ||u||_p^p or ||v||_q^q is not
-    finite, when a power of the root, or of a bracket point on the way to
-    it, leaves the double range, or when the projected energy is not finite.
+    finite, when the root or a power of it leaves the double range, or when
+    the projected energy is not finite.
     """
     a, b, quad = inv.pnorm_mu, inv.qnorm, inv.quad
     if not (math.isfinite(quad) and math.isfinite(a) and math.isfinite(b)):
@@ -63,9 +58,9 @@ def fibering_scale_from_invariants(inv: PairInvariants, spec: ProblemSpec) -> Fi
         raise NonpositiveQuadraticFormError(
             f"quadratic form B = {quad} is not positive; potentials likely unvalidated"
         )
-    # Python floats raise on overflow in ** instead of returning inf
+    # Python floats raise on overflow in ** and math.exp instead of returning inf
     try:
-        t, phi_t, bracket, iterations = _root(a, b, quad, spec)
+        t, phi_t, iterations = _root(a, b, quad, spec)
         g_at_t = inv.energy_at(t, spec)
     except OverflowError:
         raise NonFiniteEnergyError(
@@ -74,61 +69,38 @@ def fibering_scale_from_invariants(inv: PairInvariants, spec: ProblemSpec) -> Fi
         ) from None
     if not math.isfinite(g_at_t):
         raise NonFiniteEnergyError(f"the projected energy {g_at_t} is not finite")
-    return FiberingDiagnostics(float(t), float(g_at_t), bracket, iterations, abs(float(phi_t)))
+    return FiberingDiagnostics(float(t), float(g_at_t), iterations, abs(float(phi_t)))
 
 
 def _root(a: float, b: float, quad: float, spec: ProblemSpec):
-    """The root of phi, phi there, the first bracket and the Newton iterations."""
+    """The root of phi, phi there and the Newton iterations.
+
+    In s = log t, psi(s) = log(a e^((p-2)s) + b e^((q-2)s)) - log B is a
+    log-sum-exp of affine functions, so it is convex and increasing with slope
+    in [p - 2, q - 2]: Newton from s = 0 lands right of the root after its
+    first step and then descends to it monotonically.  |psi| <= 1e-12 is a
+    tolerance relative to B, so a common factor on (B, a, b) leaves the root
+    where it was; the step that meets it is still taken.
+    """
     ep, eq = spec.p - 2.0, spec.q - 2.0
-
-    # bracket the root starting from [1, 1], expanding by factor 4 in the
-    # deficient direction; phi is monotone so this terminates
-    lo = hi = 1.0
-    phi1 = _phi(1.0, a, b, ep, eq, quad)
-    if phi1 == 0.0:
-        lo, hi = 0.25, 4.0
-    elif phi1 > 0.0:
-        lo = 0.25
-        while _phi(lo, a, b, ep, eq, quad) > 0.0:
-            lo *= 0.25
-            if lo < 1e-300:
-                raise ConvergenceError("fibering bracket collapsed toward zero")
-    else:
-        hi = 4.0
-        while _phi(hi, a, b, ep, eq, quad) < 0.0:
-            hi *= 4.0
-            if hi > 1e300:  # the root exceeds 4^498, so its p-th power would overflow
-                raise NonFiniteEnergyError(
-                    f"the fibering root for B = {quad}, mu ||u||_p^p = {a}, ||v||_q^q = {b} "
-                    "exceeds 4^498; its powers leave the double range"
-                )
-    bracket = (lo, hi)
-
-    # safeguarded Newton with bisection fallback; the tolerance is relative
-    # to B, so a common factor on (B, a, b) leaves the root where it was
-    dp, dq = spec.p - 3.0, spec.q - 3.0  # the exponents of phi'
-    t = math.sqrt(lo * hi) if phi1 != 0.0 else 1.0
-    phi_t = _phi(t, a, b, ep, eq, quad)
-    tol = 1e-12 * quad
-    iterations = 0
+    la, lb = (math.log(c) if c > 0.0 else -math.inf for c in (a, b))
+    lq = math.log(quad)
+    s = 0.0
     for iterations in range(1, 201):
-        if abs(phi_t) <= tol:
+        # the max-shift of logaddexp: a vanishing term weighs exp(-inf) = 0
+        x, y = la + ep * s, lb + eq * s
+        m = max(x, y)
+        wa, wb = math.exp(x - m), math.exp(y - m)
+        psi = m + math.log(wa + wb) - lq
+        s -= psi * (wa + wb) / (ep * wa + eq * wb)
+        if abs(psi) <= 1e-12:
             break
-        if phi_t > 0.0:
-            hi = t
-        else:
-            lo = t
-        dphi = ep * t**dp * a + eq * t**dq * b
-        t_new = t - phi_t / dphi if dphi > 0.0 else 0.5 * (lo + hi)
-        if not lo < t_new < hi:
-            t_new = 0.5 * (lo + hi)
-        if t_new == t:
-            break
-        t = t_new
-        phi_t = _phi(t, a, b, ep, eq, quad)
     else:
         raise ConvergenceError("fibering root-finder exhausted its iteration budget")
-    return t, phi_t, bracket, iterations
+    t = math.exp(s)  # raises OverflowError above the double range
+    if t < sys.float_info.min:  # where math.exp returns a subnormal or 0 instead
+        raise OverflowError("the fibering root lies below the normal double range")
+    return t, t**ep * a + t**eq * b - quad, iterations
 
 
 def fibering_scale(

@@ -5,6 +5,7 @@ in ``conftest.py``, so every run checks the same cases.
 """
 
 import math
+import sys
 import tempfile
 import warnings
 from dataclasses import astuple
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from csgs import (
     FieldPair,
@@ -31,6 +33,7 @@ from csgs import (
     write_field,
 )
 from csgs.config import canonical_config, parse_config
+from csgs.errors import NonFiniteEnergyError
 from csgs.functional import (
     PairInvariants,
     _gradient,
@@ -161,15 +164,41 @@ def test_field_file_round_trip_is_bit_identical(spec, seed):
     assert back.v.tobytes() == fp.v.tobytes()
 
 
-SCALES = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
+SCALES = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+LOG_MAX, LOG_MIN = math.log(sys.float_info.max), math.log(sys.float_info.min)
 
 
-@given(quad=SCALES, a=SCALES, b=SCALES, pq=st.sampled_from([(4.0, 4.0), (4.0, 6.0), (2.5, 6.0)]))
+@given(quad=SCALES, a=st.just(0.0) | SCALES, b=SCALES,
+       pq=st.sampled_from([(4.0, 4.0), (4.0, 6.0), (2.5, 6.0)]))
 def test_fibering_root_satisfies_the_constraint(quad, a, b, pq):
+    """Checked in s = log t, so that the check cannot overflow: J(t) = t^2 B (1 - e^psi(s))
+    with psi(s) = log(a t^(p-2) + b t^(q-2)) - log B.  A root is refused only when its
+    q-th power, t^q b or t^2 B leaves the double range."""
     spec = ProblemSpec(3, *pq, 1.0)
     inv = PairInvariants(quad=quad, coupling=0.0, pnorm_mu=a, qnorm=b)
-    t = fibering_scale_from_invariants(inv, spec).t_mu
-    assert abs(inv.constraint_at(t, spec)) <= 1e-9 * t * t * quad
+    ep, eq = spec.p - 2.0, spec.q - 2.0
+    la, lb, lq = math.log(a) if a > 0.0 else -math.inf, math.log(b), math.log(quad)
+
+    def psi(s):
+        return float(np.logaddexp(la + ep * s, lb + eq * s)) - lq
+
+    try:
+        t = fibering_scale_from_invariants(inv, spec).t_mu
+    except NonFiniteEnergyError:
+        # psi has slope in [p - 2, q - 2], so the root lies between these two points
+        ends = sorted((-psi(0.0) / ep, -psi(0.0) / eq))
+        s = brentq(psi, ends[0] - 1.0, ends[1] + 1.0, xtol=1e-12)
+        assert (max(spec.q * s, spec.q * s + lb, 2.0 * s + lq) > LOG_MAX - 1e-6
+                or s < LOG_MIN + 1e-6)
+        return
+    s = math.log(t)
+    assert abs(math.expm1(psi(s))) <= 1e-9
+    # maximality along the ray, from g(t l) / (t^2 B) = l^2/2 - l^p r_a/p - l^q r_b/q
+    r_a, r_b = math.exp(la + ep * s - lq), math.exp(lb + eq * s - lq)
+
+    def g(scale):
+        return scale * scale / 2.0 - scale**spec.p * r_a / spec.p - scale**spec.q * r_b / spec.q
+    assert g(1.0 - 1e-3) < g(1.0) > g(1.0 + 1e-3)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
