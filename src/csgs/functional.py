@@ -93,14 +93,34 @@ class PairInvariants:
         return self.quad + self.coupling
 
     def energy_at(self, t: float, spec: ProblemSpec) -> float:
-        return (
-            0.5 * t * t * self.quad
-            - t**spec.p / spec.p * self.pnorm_mu
-            - t**spec.q / spec.q * self.qnorm
-        )
+        try:
+            return (
+                0.5 * t * t * self.quad
+                - t**spec.p / spec.p * self.pnorm_mu
+                - t**spec.q / spec.q * self.qnorm
+            )
+        except OverflowError:  # t^p or t^q alone overflows; its product with the norm may not
+            return (
+                0.5 * t * t * self.quad
+                - _power_term(t, spec.p, self.pnorm_mu) / spec.p
+                - _power_term(t, spec.q, self.qnorm) / spec.q
+            )
 
     def constraint_at(self, t: float, spec: ProblemSpec) -> float:
-        return t * t * self.quad - t**spec.p * self.pnorm_mu - t**spec.q * self.qnorm
+        try:
+            return t * t * self.quad - t**spec.p * self.pnorm_mu - t**spec.q * self.qnorm
+        except OverflowError:
+            return (
+                t * t * self.quad
+                - _power_term(t, spec.p, self.pnorm_mu)
+                - _power_term(t, spec.q, self.qnorm)
+            )
+
+
+def _power_term(t: float, k: float, c: float) -> float:
+    """t^k c for t > 0 as exp(k log t + log |c|) with c's sign, so that t^k may overflow where
+    the product does not; :class:`OverflowError` when the product overflows too."""
+    return math.copysign(math.exp(k * math.log(t) + math.log(abs(c))), c) if c else 0.0
 
 
 def _check(fp: FieldPair, ps: PotentialSet, grid: Grid) -> None:

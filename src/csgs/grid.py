@@ -200,41 +200,57 @@ def _lp_sum(f: np.ndarray, p: float, grid: Grid, work: np.ndarray, spare=None) -
 
 
 def _forward(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """``np.fft.rfftn``, one axis at a time as rfftn does it, the ``fft`` passes in place."""
-    fh = np.fft.rfft(f, axis=grid.spec.dim - 1)
-    for ax in range(grid.spec.dim - 2, -1, -1):
-        np.fft.fft(fh, axis=ax, out=fh)
+    """``np.fft.rfftn`` over the trailing d axes of a field or a stack of fields, one axis at a
+    time as rfftn does it: one ``rfft`` over the whole stack, then each field's ``fft`` passes in
+    place, as they run for a field alone."""
+    d = grid.spec.dim
+    fh = np.fft.rfft(f, axis=-1)
+    for g in fh if fh.ndim > d else (fh,):
+        for ax in range(d - 2, -1, -1):
+            np.fft.fft(g, axis=ax, out=g)
     return fh
 
 
-def _inverse(fh: np.ndarray, grid: Grid) -> np.ndarray:
-    """``np.fft.irfftn``, one axis at a time as irfftn does it; the ``ifft``s overwrite ``fh``."""
-    for ax in range(grid.spec.dim - 1):
-        np.fft.ifft(fh, axis=ax, out=fh)
-    return np.fft.irfft(fh, grid.spec.points_per_dim, axis=grid.spec.dim - 1)
+def _inverse(fh: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.fft.irfftn`` as :func:`_forward` runs ``rfftn``: each field's ``ifft`` passes overwrite
+    ``fh``, then one ``irfft`` over the whole stack, into ``out`` when given."""
+    d = grid.spec.dim
+    for g in fh if fh.ndim > d else (fh,):
+        for ax in range(d - 1):
+            np.fft.ifft(g, axis=ax, out=g)
+    return np.fft.irfft(fh, grid.spec.points_per_dim, axis=-1, out=out)
 
 
-def apply_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Laplacian of a grid function (spectral or second-order stencil).
+def apply_laplacian(f: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """Laplacian of a grid function or of a stack of them (spectral or second-order stencil).
 
-    Spectral mode multiplies Fourier coefficients by -|k|^2; fd2 applies
+    ``f`` is one field or a stack of fields along one leading axis; each field is transformed
+    as it would be alone, bit for bit.  The result has f's shape and is written into ``out``
+    when it is given.  Spectral mode multiplies Fourier coefficients by -|k|^2; fd2 applies
     the standard 3-point stencil per axis to f padded by one node, with
     wraparound neighbors on periodic grids and zero walls on Dirichlet grids.
     """
-    grid.check_conforms(f)
     d = grid.spec.dim
+    if f.shape[-d:] != grid.shape or f.ndim > d + 1:
+        raise GridMismatchError(
+            f"field shape {f.shape} is neither grid shape {grid.shape} nor a stack of it"
+        )
+    if out is not None and out.shape != f.shape:
+        raise GridMismatchError(f"out shape {out.shape} does not match field shape {f.shape}")
     if grid.spec.laplacian_mode == "spectral":
         fh = _forward(f, grid)
         fh *= grid._lap_multiplier
-        return _inverse(fh, grid)
-    padded = np.pad(f, 1, mode="wrap" if grid.is_periodic else "constant")
-    out = -2.0 * d * f
+        return _inverse(fh, grid, out)
+    # pad the trailing d axes only; a scalar width keeps np.pad's faster path for one field
+    width = 1 if f.ndim == d else [(0, 0)] + [(1, 1)] * d
+    padded = np.pad(f, width, mode="wrap" if grid.is_periodic else "constant")
+    out = np.multiply(f, -2.0 * d, out=out)
     for ax in range(d):
         lo = [slice(1, -1)] * d
         hi = [slice(1, -1)] * d
         lo[ax], hi[ax] = slice(None, -2), slice(2, None)
-        out += padded[tuple(lo)]
-        out += padded[tuple(hi)]
+        out += padded[(..., *lo)]
+        out += padded[(..., *hi)]
     out /= grid.spacing**2
     return out
 

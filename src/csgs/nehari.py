@@ -22,7 +22,7 @@ from .errors import (
     NonpositiveQuadraticFormError,
     ZeroFieldError,
 )
-from .functional import PairInvariants, ProblemSpec, pair_invariants
+from .functional import PairInvariants, ProblemSpec, _power_term, pair_invariants
 from .grid import FieldPair, Grid
 from .potentials import PotentialSet
 
@@ -41,8 +41,9 @@ def fibering_scale_from_invariants(inv: PairInvariants, spec: ProblemSpec) -> Fi
     """Solve phi(t) = 0 given precomputed quadrature scalars.
 
     Raises NonFiniteEnergyError when B, mu ||u||_p^p or ||v||_q^q is not
-    finite, when the root or a power of it leaves the double range, or when
-    the projected energy is not finite.
+    finite, when the root leaves the normal double range, or when the
+    projected energy or one of its terms is not finite.  A power t^p or t^q
+    may overflow alone: its term is then formed in logarithms.
     """
     a, b, quad = inv.pnorm_mu, inv.qnorm, inv.quad
     if not (math.isfinite(quad) and math.isfinite(a) and math.isfinite(b)):
@@ -65,7 +66,7 @@ def fibering_scale_from_invariants(inv: PairInvariants, spec: ProblemSpec) -> Fi
     except OverflowError:
         raise NonFiniteEnergyError(
             f"the fibering root for B = {quad}, mu ||u||_p^p = {a}, ||v||_q^q = {b} "
-            "has powers outside the double range"
+            "or a term of its energy lies outside the double range"
         ) from None
     if not math.isfinite(g_at_t):
         raise NonFiniteEnergyError(f"the projected energy {g_at_t} is not finite")
@@ -100,7 +101,10 @@ def _root(a: float, b: float, quad: float, spec: ProblemSpec):
     t = math.exp(s)  # raises OverflowError above the double range
     if t < sys.float_info.min:  # where math.exp returns a subnormal or 0 instead
         raise OverflowError("the fibering root lies below the normal double range")
-    return t, t**ep * a + t**eq * b - quad, iterations
+    try:
+        return t, t**ep * a + t**eq * b - quad, iterations
+    except OverflowError:  # a power alone overflows
+        return t, _power_term(t, ep, a) + _power_term(t, eq, b) - quad, iterations
 
 
 def fibering_scale(

@@ -207,9 +207,10 @@ def minimize_ground_state(
     does not rise, and the returned energy is within that band of the
     trace's minimum.  The converged flag reports honestly whether the
     gradient tolerance was met; otherwise ``failure`` is "stagnated" (line
-    search gave up) or "budget".  The solve keeps every point's Laplacians
-    next to it, so an iteration transforms only the new gradient; a
-    caller's ``init_field`` is read, never written.
+    search gave up) or "budget".  The solve keeps every point and gradient
+    in a block with their Laplacians, so an iteration makes one Laplacian
+    call, on the new gradient's two fields; a caller's ``init_field`` is
+    read, never written.
     """
     opts = opts or SolveOptions()
     if spec.dim != grid.spec.dim:
@@ -220,12 +221,11 @@ def minimize_ground_state(
 
     start = initial_pair(grid, opts, init_field)
     # the solve's state, allocated once: the current and the trial point, each u, v and
-    # their Laplacians; the current and the new gradient; two scratch arrays
-    cur, trial = np.empty((2, 4, *grid.shape))
-    grad, grad_new = np.empty((2, 2, *grid.shape))
+    # their Laplacians; the current and the new gradient, laid out alike; two scratch arrays
+    cur, trial, grad, grad_new = np.empty((4, 4, *grid.shape))
     w1, w2 = np.empty((2, *grid.shape))
     cur[0], cur[1] = start.u, start.v
-    cur[2], cur[3] = apply_laplacian(start.u, grid), apply_laplacian(start.v, grid)
+    apply_laplacian(cur[:2], grid, out=cur[2:])
     inv = _invariants(*cur, ps, spec, grid, w1, w2)
     try:
         diag = fibering_scale_from_invariants(inv, spec)
@@ -234,7 +234,7 @@ def minimize_ground_state(
     cur *= diag.t_mu
     e_cur, norm_e_sq = diag.g_at_t, _norm_e_sq_at(inv, diag.t_mu)
 
-    _gradient(*cur, ps, spec, *grad, w1, w2)
+    _gradient(*cur, ps, spec, *grad[:2], w1, w2)
     grad_evals, trials = 1, 0
     gnorm = _norm(grad, grid)
     energy_trace = [float(e_cur)]
@@ -250,14 +250,13 @@ def minimize_ground_state(
 
         # backtracked step along the negative gradient, then re-project; the Laplacian is linear,
         # so the trial point's follows from the current one's; a trial is scaled only if kept
-        grad_lap = (apply_laplacian(grad[0], grid), apply_laplacian(grad[1], grid))
+        apply_laplacian(grad[:2], grid, out=grad[2:])
         gnorm_sq = gnorm * gnorm
         e_scale = max(abs(e_cur), 1.0)
         s = step
         for _ in range(60):
             trials += 1
-            for base, d, out in zip(cur, (*grad, *grad_lap), trial):
-                np.subtract(base, np.multiply(d, s, out=out), out=out)
+            np.subtract(cur, np.multiply(grad, s, out=trial), out=trial)
             try:
                 inv = _invariants(*trial, ps, spec, grid, w1, w2)
                 diag = fibering_scale_from_invariants(inv, spec)
@@ -273,7 +272,7 @@ def minimize_ground_state(
             accept = e_new <= e_cur - _ARMIJO * s * gnorm_sq or (at_floor and e_new <= e_cur)
             if accept or (at_floor and e_new <= energy_trace[-1] + 32.0 * _EPS * e_scale):
                 trial *= diag.t_mu
-                _gradient(*trial, ps, spec, *grad_new, w1, w2)
+                _gradient(*trial, ps, spec, *grad_new[:2], w1, w2)
                 grad_evals += 1
                 if accept or _norm(grad_new, grid) < gnorm:
                     break
@@ -286,7 +285,7 @@ def minimize_ground_state(
         # alternating Barzilai-Borwein trial step for the next iteration, from differences
         # written over the spent current point and gradient
         du, dv = np.subtract(trial[:2], cur[:2], out=cur[:2])
-        dgu, dgv = np.subtract(grad_new, grad, out=grad)
+        dgu, dgv = np.subtract(grad_new[:2], grad[:2], out=grad[:2])
         bb_flip = not bb_flip
         if bb_flip:
             num = _quadrature(du * du + dv * dv, grid)

@@ -90,9 +90,9 @@ class TestFiberingScale:
         inv = PairInvariants(quad=quad, coupling=0.0, pnorm_mu=0.7, qnorm=0.3)
         assert fibering_scale_from_invariants(inv, spec).t_mu.hex() == t_hex
 
-    @pytest.mark.parametrize("quad, qnorm", [(1e300, 1e-10), (1.0, 1e-310)])
+    @pytest.mark.parametrize("quad, qnorm", [(1e300, 1e-10)])
     def test_root_beyond_double_range(self, quad, qnorm):
-        # the root is about 1e77.5 and its fourth power overflows
+        # the root is about 1e77.5, and the energy's t^2 B = 1e455 overflows
         spec = ProblemSpec(3, 4.0, 6.0, 1.0)
         inv = PairInvariants(quad=quad, coupling=0.0, pnorm_mu=0.0, qnorm=qnorm)
         with pytest.raises(NonFiniteEnergyError, match="double range"):
@@ -108,6 +108,25 @@ class TestFiberingScale:
         inv = PairInvariants(quad=quad, coupling=0.0, pnorm_mu=0.0, qnorm=qnorm)
         with pytest.raises(NonFiniteEnergyError, match="double range"):
             fibering_scale_from_invariants(inv, ProblemSpec(3, 2.1, 2.1, 1.0))
+
+    @pytest.mark.parametrize(
+        "quad, q, qnorm, t, energy",
+        [
+            (1e100, 4.0, 1e-60, 1e80, 2.5e259),
+            (1e100, 6.0, 1e-300, 1e100, 1e300 / 3.0),
+            (1.0, 6.0, 1e-310, 10**77.5, 10**155 / 3.0),
+        ],
+        ids=["q4", "q6", "q6-subnormal-norm"],
+    )
+    def test_energy_whose_power_alone_overflows(self, quad, q, qnorm, t, energy):
+        # phi(t) = t^(q-2) qnorm - B: t^q overflows, but t^q qnorm = t^2 B and the
+        # energy t^2 B (1/2 - 1/q) do not
+        spec = ProblemSpec(3, 4.0, q, 1.0)
+        inv = PairInvariants(quad=quad, coupling=0.0, pnorm_mu=0.0, qnorm=qnorm)
+        diag = fibering_scale_from_invariants(inv, spec)
+        assert diag.t_mu == pytest.approx(t, rel=1e-12)
+        assert diag.g_at_t == pytest.approx(energy, rel=1e-12)
+        assert abs(inv.constraint_at(diag.t_mu, spec)) <= 1e-9 * t * t * quad
 
     @pytest.mark.parametrize("qnorm", [1e200, 1e230, 1e250, 1e300])
     def test_tiny_root_within_budget(self, qnorm):

@@ -12,6 +12,7 @@ from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -33,7 +34,7 @@ from csgs import (
     write_field,
 )
 from csgs.config import canonical_config, parse_config
-from csgs.errors import NonFiniteEnergyError
+from csgs.errors import GridMismatchError, NonFiniteEnergyError
 from csgs.functional import (
     PairInvariants,
     _gradient,
@@ -98,7 +99,8 @@ def test_gradient_pairing_matches_central_differences(spec, node, component):
        shift=st.floats(0.5, 10.0))
 def test_spectral_kernels_match_the_nd_transforms_bit_for_bit(spec, seed, shift):
     g = build_grid(spec)
-    f = random_pair(g, seed).u
+    fp = random_pair(g, seed)
+    f = fp.u
     axes = tuple(range(spec.dim))
     fh = np.fft.rfftn(f, axes=axes)
 
@@ -112,6 +114,30 @@ def test_spectral_kernels_match_the_nd_transforms_bit_for_bit(spec, seed, shift)
         kd = np.where(np.abs(k) >= nyquist * (1.0 - 1e-12), 0.0, k)
         assert np.array_equal(partial, back(1j * kd * fh))
     assert integrate(f, g) == g.spacing**spec.dim * np.sum(f)
+    # a stack of fields: the n-d transforms over its trailing axes
+    stack, trailing = np.stack([fp.u, fp.v]), tuple(range(1, spec.dim + 1))
+    stack_h = np.fft.rfftn(stack, axes=trailing) * g._lap_multiplier
+    stack_lap = np.fft.irfftn(stack_h, s=g.shape, axes=trailing)
+    assert np.array_equal(apply_laplacian(stack, g), stack_lap)
+
+
+@given(spec=grid_specs(), seed=st.integers(0, 2**16), count=st.integers(1, 3))
+def test_stacked_laplacian_matches_each_field_bit_for_bit(spec, seed, count):
+    g = build_grid(spec)
+    stack = np.random.default_rng(seed).standard_normal((count, *g.shape))
+    kept = stack.copy()
+    each = np.stack([apply_laplacian(f, g) for f in stack])
+    assert np.array_equal(apply_laplacian(stack, g), each)
+    out, single = np.empty_like(stack), np.empty(g.shape)
+    assert apply_laplacian(stack, g, out=out) is out
+    assert apply_laplacian(stack[0], g, out=single) is single
+    assert np.array_equal(out, each) and np.array_equal(single, each[0])
+    assert np.array_equal(stack, kept)
+    for bad in (stack[..., :-2], stack[None], stack[..., None]):
+        with pytest.raises(GridMismatchError):
+            apply_laplacian(bad, g)
+    with pytest.raises(GridMismatchError):
+        apply_laplacian(stack, g, out=np.empty((count + 1, *g.shape)))
 
 
 @st.composite
@@ -172,8 +198,8 @@ LOG_MAX, LOG_MIN = math.log(sys.float_info.max), math.log(sys.float_info.min)
        pq=st.sampled_from([(4.0, 4.0), (4.0, 6.0), (2.5, 6.0)]))
 def test_fibering_root_satisfies_the_constraint(quad, a, b, pq):
     """Checked in s = log t, so that the check cannot overflow: J(t) = t^2 B (1 - e^psi(s))
-    with psi(s) = log(a t^(p-2) + b t^(q-2)) - log B.  A root is refused only when its
-    q-th power, t^q b or t^2 B leaves the double range."""
+    with psi(s) = log(a t^(p-2) + b t^(q-2)) - log B.  A root is refused only when it leaves
+    the normal range or t^2 or t^2 B overflows; t^q overflowing alone is no reason."""
     spec = ProblemSpec(3, *pq, 1.0)
     inv = PairInvariants(quad=quad, coupling=0.0, pnorm_mu=a, qnorm=b)
     ep, eq = spec.p - 2.0, spec.q - 2.0
@@ -188,8 +214,7 @@ def test_fibering_root_satisfies_the_constraint(quad, a, b, pq):
         # psi has slope in [p - 2, q - 2], so the root lies between these two points
         ends = sorted((-psi(0.0) / ep, -psi(0.0) / eq))
         s = brentq(psi, ends[0] - 1.0, ends[1] + 1.0, xtol=1e-12)
-        assert (max(spec.q * s, spec.q * s + lb, 2.0 * s + lq) > LOG_MAX - 1e-6
-                or s < LOG_MIN + 1e-6)
+        assert max(2.0 * s, 2.0 * s + lq) > LOG_MAX - 1e-6 or s < LOG_MIN + 1e-6
         return
     s = math.log(t)
     assert abs(math.expm1(psi(s))) <= 1e-9
