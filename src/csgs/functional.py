@@ -14,6 +14,7 @@ this module computes once and reuses.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ class ProblemSpec:
             raise ValueError(f"p must exceed 2, got {self.p}")
         if self.q < self.p:
             raise ValueError(f"need p <= q, got p={self.p}, q={self.q}")
-        if self.dim == 3 and self.q > 6.0 + 1e-12:
+        if self.dim == 3 and self.q > 6.0:
             raise ValueError(f"q must not exceed the critical exponent 6, got {self.q}")
         if self.mu < 0:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
@@ -93,34 +94,31 @@ class PairInvariants:
         return self.quad + self.coupling
 
     def energy_at(self, t: float, spec: ProblemSpec) -> float:
-        try:
-            return (
-                0.5 * t * t * self.quad
-                - t**spec.p / spec.p * self.pnorm_mu
-                - t**spec.q / spec.q * self.qnorm
-            )
-        except OverflowError:  # t^p or t^q alone overflows; its product with the norm may not
-            return (
-                0.5 * t * t * self.quad
-                - _power_term(t, spec.p, self.pnorm_mu) / spec.p
-                - _power_term(t, spec.q, self.qnorm) / spec.q
-            )
+        return (
+            0.5 * t * t * self.quad
+            - _ray_term(t, spec.p, self.pnorm_mu, spec.p)
+            - _ray_term(t, spec.q, self.qnorm, spec.q)
+        )
 
     def constraint_at(self, t: float, spec: ProblemSpec) -> float:
-        try:
-            return t * t * self.quad - t**spec.p * self.pnorm_mu - t**spec.q * self.qnorm
-        except OverflowError:
-            return (
-                t * t * self.quad
-                - _power_term(t, spec.p, self.pnorm_mu)
-                - _power_term(t, spec.q, self.qnorm)
-            )
+        return (
+            t * t * self.quad
+            - _ray_term(t, spec.p, self.pnorm_mu)
+            - _ray_term(t, spec.q, self.qnorm)
+        )
 
 
-def _power_term(t: float, k: float, c: float) -> float:
-    """t^k c for t > 0 as exp(k log t + log |c|) with c's sign, so that t^k may overflow where
-    the product does not; :class:`OverflowError` when the product overflows too."""
-    return math.copysign(math.exp(k * math.log(t) + math.log(abs(c))), c) if c else 0.0
+def _ray_term(t: float, k: float, c: float, w: float = 1.0) -> float:
+    """t^k c / w for t > 0: ``t**k / w * c`` while t^k is a normal double, else
+    exp(k log t + log |c|) / w with c's sign, so that t^k may overflow or underflow where the
+    term does not; :class:`OverflowError` when the term overflows too."""
+    try:
+        power = t**k
+        if power >= sys.float_info.min:
+            return power / w * c
+    except OverflowError:  # Python floats raise here instead of returning inf
+        pass
+    return math.copysign(math.exp(k * math.log(t) + math.log(abs(c))) / w, c) if c else 0.0
 
 
 def _check(fp: FieldPair, ps: PotentialSet, grid: Grid) -> None:

@@ -22,7 +22,7 @@ from .errors import (
     NonpositiveQuadraticFormError,
     ZeroFieldError,
 )
-from .functional import PairInvariants, ProblemSpec, _power_term, pair_invariants
+from .functional import PairInvariants, ProblemSpec, _ray_term, pair_invariants
 from .grid import FieldPair, Grid
 from .potentials import PotentialSet
 
@@ -43,7 +43,7 @@ def fibering_scale_from_invariants(inv: PairInvariants, spec: ProblemSpec) -> Fi
     Raises NonFiniteEnergyError when B, mu ||u||_p^p or ||v||_q^q is not
     finite, when the root leaves the normal double range, or when the
     projected energy or one of its terms is not finite.  A power t^p or t^q
-    may overflow alone: its term is then formed in logarithms.
+    may overflow or underflow alone: its term is then formed in logarithms.
     """
     a, b, quad = inv.pnorm_mu, inv.qnorm, inv.quad
     if not (math.isfinite(quad) and math.isfinite(a) and math.isfinite(b)):
@@ -101,10 +101,7 @@ def _root(a: float, b: float, quad: float, spec: ProblemSpec):
     t = math.exp(s)  # raises OverflowError above the double range
     if t < sys.float_info.min:  # where math.exp returns a subnormal or 0 instead
         raise OverflowError("the fibering root lies below the normal double range")
-    try:
-        return t, t**ep * a + t**eq * b - quad, iterations
-    except OverflowError:  # a power alone overflows
-        return t, _power_term(t, ep, a) + _power_term(t, eq, b) - quad, iterations
+    return t, _ray_term(t, ep, a) + _ray_term(t, eq, b) - quad, iterations
 
 
 def fibering_scale(

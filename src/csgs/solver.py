@@ -371,10 +371,12 @@ def aubin_talenti_bubble(grid: Grid, scale: float = 1.0) -> np.ndarray:
     """The radial Sobolev extremal (3 s^2)^(1/4) (s^2 + |x|^2)^(-1/2), d = 3.
 
     Every member of the dilation family solves -Lap v = v^5; scale controls
-    the concentration.
+    the concentration and must be finite and positive (ValueError otherwise).
     """
     if grid.spec.dim != 3:
         raise GridMismatchError("the Sobolev extremal profile is defined for d = 3")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"the bubble scale must be finite and positive, got {scale}")
     s2 = scale * scale
     return (3.0 * s2) ** 0.25 / np.sqrt(s2 + grid.radius_sq)
 

@@ -135,6 +135,8 @@ class TestConfig:
             parse_config(BASE_CFG.replace("delta = 0.3", "delta = 1.5"))
         with pytest.raises(ConfigError, match="mode"):
             parse_config(BASE_CFG.replace("mode = periodic", "mode = sideways"))
+        with pytest.raises(ConfigError, match=r"\[problem\].*critical exponent"):
+            parse_config(MODEL_PAIR_CFG.replace("q = 6.0", "q = 6.0000000000001"))
 
     def test_sweep_list_validation(self):
         good = parse_config(BASE_CFG + "\n[sweep]\nmu_values = 0.5, 1, 2\n")

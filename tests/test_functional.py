@@ -47,9 +47,10 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec(1, 4.0, 3.0, 1.0)
 
-    def test_critical_cap_3d(self):
-        with pytest.raises(ValueError):
-            ProblemSpec(3, 4.0, 6.5, 1.0)
+    @pytest.mark.parametrize("q", [6.5, 6.0 + 1e-13], ids=["6.5", "6+1e-13"])
+    def test_critical_cap_3d(self, q):
+        with pytest.raises(ValueError, match="critical exponent"):
+            ProblemSpec(3, 4.0, q, 1.0)
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ Examples are drawn by Hypothesis under the derandomized profile registered
 in ``conftest.py``, so every run checks the same cases.
 """
 
+import decimal
 import math
 import sys
 import tempfile
@@ -224,6 +225,19 @@ def test_fibering_root_satisfies_the_constraint(quad, a, b, pq):
     def g(scale):
         return scale * scale / 2.0 - scale**spec.p * r_a / spec.p - scale**spec.q * r_b / spec.q
     assert g(1.0 - 1e-3) < g(1.0) > g(1.0 + 1e-3)
+
+
+@given(p=st.floats(2.0, 6.0, exclude_min=True), t=st.floats(-150.0, 150.0).map(lambda e: 10.0**e),
+       c=SCALES)
+def test_ray_terms_match_a_decimal_reference(p, t, c):
+    """Wherever t^p c is a normal double, the constraint and energy terms along the ray match
+    it to 1e-12 relative, also where t^p alone overflows or underflows."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        reference = decimal.Decimal(t) ** decimal.Decimal(p) * decimal.Decimal(c)
+    assume(sys.float_info.min <= reference <= sys.float_info.max)
+    inv, spec = PairInvariants(0.0, 0.0, c, 0.0), ProblemSpec(3, p, p, 1.0)
+    assert -inv.constraint_at(t, spec) == pytest.approx(float(reference), rel=1e-12, abs=0.0)
+    assert -inv.energy_at(t, spec) == pytest.approx(float(reference) / p, rel=1e-12, abs=0.0)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -263,6 +263,12 @@ class TestSobolev:
         q2 = sobolev_quotient(2.0 * u, g)
         assert q2 == pytest.approx(q1, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
+    def test_bubble_rejects_a_nonpositive_or_non_finite_scale(self, scale):
+        # scale 0 gave zeros with a NaN at the origin node; -1 acted as 1
+        with pytest.raises(ValueError, match="bubble scale"):
+            aubin_talenti_bubble(build_grid(GridSpec(3, 2.0, 8)), scale)
+
     def test_polish_stays_near_bubble(self):
         g = build_grid(GridSpec(3, 8.0, 48, "periodic", "fd2"))
         s = estimate_sobolev_constant(g)
