@@ -68,7 +68,6 @@ def _validate(cfg: RunConfig, grid: Grid, out: Path, *, compute_nu: bool) -> tup
         if cfg.reference_defs is None:
             raise ConfigError("asymptotic validation requires [reference.*] sections")
         reference = sample_potentials(cfg.reference_defs, cfg.delta, grid)
-        validate_assumptions(reference, "periodic", grid=grid)
     rep = validate_assumptions(
         ps, cfg.mode, reference=reference, grid=grid, tail_tol=cfg.tail_tol,
         compute_nu=compute_nu,
@@ -132,21 +131,14 @@ def _cmd_sweep(cfg: RunConfig, grid: Grid, out: Path) -> int:
 
 
 def _cmd_compare(cfg: RunConfig, grid: Grid, out: Path) -> int:
-    if cfg.reference_defs is None:
-        raise ConfigError("compare command requires [reference.*] sections (the periodic set)")
+    if cfg.mode not in ("asymptotic", "asymptotic-strict"):
+        raise ConfigError("compare command requires mode = asymptotic or asymptotic-strict, "
+                          f"got {cfg.mode!r}")
     _no_init_file(cfg, "compare")
-    ps_ref = sample_potentials(cfg.reference_defs, cfg.delta, grid)
-    rep_ref = validate_assumptions(ps_ref, "periodic", grid=grid)
-    ps_asym = sample_potentials(cfg.pot_defs, cfg.delta, grid)
-    rep_asym = validate_assumptions(
-        ps_asym, "asymptotic", reference=ps_ref, grid=grid, tail_tol=cfg.tail_tol
-    )
-    write_report_csv(rep_ref, out / "validation_periodic.csv")
-    write_report_csv(rep_asym, out / "validation_asymptotic.csv")
-    if not (rep_ref.overall and rep_asym.overall):
-        _print_validation(rep_ref)
-        _print_validation(rep_asym)
-        return EXIT_VALIDATION
+    code, (ps_asym, ps_ref, rep_val) = _validate(cfg, grid, out, compute_nu=False)
+    if code != EXIT_OK:
+        _print_validation(rep_val)
+        return code
 
     solve_per = minimize_ground_state(ps_ref, cfg.problem, grid, cfg.solver)
     solve_asym = minimize_ground_state(ps_asym, cfg.problem, grid, cfg.solver)

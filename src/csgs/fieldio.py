@@ -81,6 +81,14 @@ def read_field(path: str | Path, grid: Grid | None = None) -> FieldPair:
     if boundary_code not in _BOUNDARY_NAME:
         raise FieldFileError(f"unknown boundary code {boundary_code}")
     boundary = _BOUNDARY_NAME[boundary_code]
+    try:  # checks dim, n and the half-width before they size the payload
+        spec = GridSpec(dim, half_width, n, boundary, "spectral" if boundary == "periodic" else "fd2")
+    except ValueError as exc:
+        raise FieldFileError(f"bad field-file header: {exc}") from None
+    if grid is not None:
+        s = grid.spec
+        if (s.dim, s.points_per_dim, s.boundary) != (dim, n, boundary) or s.half_width != half_width:
+            raise FieldFileError("field file header does not match the supplied grid")
 
     count = n**dim
     expected = 2 * count * 8
@@ -89,14 +97,8 @@ def read_field(path: str | Path, grid: Grid | None = None) -> FieldPair:
         raise FieldFileError(
             f"payload short: expected 2*n^d*8 = {expected} bytes, found {len(payload)}"
         )
-
     if grid is None:
-        mode = "spectral" if boundary == "periodic" else "fd2"
-        grid = build_grid(GridSpec(dim, half_width, n, boundary, mode))
-    else:
-        s = grid.spec
-        if (s.dim, s.points_per_dim, s.boundary) != (dim, n, boundary) or s.half_width != half_width:
-            raise FieldFileError("field file header does not match the supplied grid")
+        grid = build_grid(spec)
 
     shape = (n,) * dim
     u = np.frombuffer(payload[: count * 8], dtype="<f8").reshape(shape).astype(float)

@@ -95,17 +95,25 @@ class PairInvariants:
 
     def energy_at(self, t: float, spec: ProblemSpec) -> float:
         return (
-            0.5 * t * t * self.quad
+            _square_term(t, self.quad, 0.5)
             - _ray_term(t, spec.p, self.pnorm_mu, spec.p)
             - _ray_term(t, spec.q, self.qnorm, spec.q)
         )
 
     def constraint_at(self, t: float, spec: ProblemSpec) -> float:
         return (
-            t * t * self.quad
+            _square_term(t, self.quad)
             - _ray_term(t, spec.p, self.pnorm_mu)
             - _ray_term(t, spec.q, self.qnorm)
         )
+
+
+def _square_term(t: float, c: float, h: float = 1.0) -> float:
+    """h t^2 c for t > 0: ``h * t * t * c`` while t * t is a normal double, else in logarithms
+    like :func:`_ray_term` (``t**2.0`` is not always ``t * t``, so that helper cannot serve)."""
+    if sys.float_info.min <= t * t <= sys.float_info.max:
+        return h * t * t * c
+    return math.copysign(h * math.exp(2.0 * math.log(t) + math.log(abs(c))), c) if c else 0.0
 
 
 def _ray_term(t: float, k: float, c: float, w: float = 1.0) -> float:

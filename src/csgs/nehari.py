@@ -42,8 +42,8 @@ def fibering_scale_from_invariants(inv: PairInvariants, spec: ProblemSpec) -> Fi
 
     Raises NonFiniteEnergyError when B, mu ||u||_p^p or ||v||_q^q is not
     finite, when the root leaves the normal double range, or when the
-    projected energy or one of its terms is not finite.  A power t^p or t^q
-    may overflow or underflow alone: its term is then formed in logarithms.
+    projected energy or one of its terms is not finite.  A power t^2, t^p or
+    t^q may overflow or underflow alone: its term is then formed in logarithms.
     """
     a, b, quad = inv.pnorm_mu, inv.qnorm, inv.quad
     if not (math.isfinite(quad) and math.isfinite(a) and math.isfinite(b)):

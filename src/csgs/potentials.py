@@ -12,7 +12,7 @@ assumption nodewise, which is the strongest test the discretization admits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -278,6 +278,16 @@ def _check_periodicity(ps, grid) -> AssumptionCheck:
     return AssumptionCheck("V1:periodicity", bool(worst <= 1e-9), worst, worst_node)
 
 
+def _periodic_checks(ps, grid, strict=False) -> list[AssumptionCheck]:
+    """V1 periodicity, V2 nonnegativity and the V3 (or strict V3') coupling bound."""
+    return [
+        _check_periodicity(ps, grid),
+        _check_nonneg("V2:V1>=0", ps.v1, grid),
+        _check_nonneg("V2:V2>=0", ps.v2, grid),
+        _check_coupling_bound("V3':coupling" if strict else "V3:coupling", ps, grid, strict),
+    ]
+
+
 def _shell_mask(grid: Grid) -> np.ndarray:
     thresh = 0.8 * grid.spec.half_width
     mask = np.zeros(grid.shape, dtype=bool)
@@ -314,56 +324,33 @@ def _check_asymptotic(ps, ref, grid, tail_tol) -> list[AssumptionCheck]:
 
 
 def _check_radial(ps, grid) -> list[AssumptionCheck]:
-    checks = []
     scale_env = max(
         1.0, float(np.max(np.abs(ps.v1))), float(np.max(np.abs(ps.v2))), float(np.max(np.abs(ps.lam)))
     )
     tiny = 1e-12 * scale_env
-    for name, (rad, path), f in zip(("V7:V1", "V7:V2"), ps.radial, (ps.v1, ps.v2)):
-        worst, node = _worst(grid, -rad)
-        nonneg_ok = worst <= tiny
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(f > tiny, rad / np.where(f > tiny, f, 1.0), 0.0)
-        degenerate = (f <= tiny) & (rad > tiny)
+    (rad1, path1), (rad2, path2), (radl, pathl) = ps.radial
+    v7 = ("", "<grad V,x> > 0 where V = 0")
+    # V7 asks <grad V, x> >= 0 and V8 <grad lambda, x> <= 0, so -sign * rad is the violation;
+    # C = max size / f is the least constant with size <= C f, and where f = 0 size must vanish
+    checks = []
+    for name, sign, rad, size, f, (claim, degenerate_note), path in (
+        ("V7:V1", 1, rad1, rad1, ps.v1, v7, path1),
+        ("V7:V2", 1, rad2, rad2, ps.v2, v7, path2),
+        ("V8:lambda", -1, radl, np.abs(radl), np.abs(ps.lam),
+         ("<grad lambda,x> <= 0; ", "<grad l,x> != 0 where lambda = 0"), pathl),
+    ):
+        worst, node = _worst(grid, -sign * rad)
+        degenerate = (f <= tiny) & (size > tiny)
         if np.any(degenerate):
-            wv, wn = _worst(grid, np.where(degenerate, rad, -np.inf))
-            checks.append(
-                AssumptionCheck(name, False, wv, wn, f"<grad V,x> > 0 where V = 0 ({path})")
-            )
+            wv, wn = _worst(grid, np.where(degenerate, size, -np.inf))
+            checks.append(AssumptionCheck(name, False, wv, wn, f"{degenerate_note} ({path})"))
             continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(f > tiny, size / np.where(f > tiny, f, 1.0), 0.0)
         c_const = float(np.max(ratio))
-        checks.append(
-            AssumptionCheck(
-                name,
-                bool(nonneg_ok),
-                -worst if not nonneg_ok else c_const,
-                node,
-                f"smallest admissible C = {c_const:.12g} ({path})",
-            )
-        )
-    rad, path = ps.radial[2]
-    worst, node = _worst(grid, rad)
-    sign_ok = worst <= tiny
-    lam_abs = np.abs(ps.lam)
-    degenerate = (lam_abs <= tiny) & (np.abs(rad) > tiny)
-    if np.any(degenerate):
-        wv, wn = _worst(grid, np.where(degenerate, np.abs(rad), -np.inf))
-        checks.append(
-            AssumptionCheck("V8:lambda", False, wv, wn, f"<grad l,x> != 0 where lambda = 0 ({path})")
-        )
-        return checks
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(lam_abs > tiny, np.abs(rad) / np.where(lam_abs > tiny, lam_abs, 1.0), 0.0)
-    c_const = float(np.max(ratio))
-    checks.append(
-        AssumptionCheck(
-            "V8:lambda",
-            bool(sign_ok),
-            worst if not sign_ok else c_const,
-            node,
-            f"<grad lambda,x> <= 0; smallest admissible C = {c_const:.12g} ({path})",
-        )
-    )
+        ok = worst <= tiny
+        note = f"{claim}smallest admissible C = {c_const:.12g} ({path})"
+        checks.append(AssumptionCheck(name, bool(ok), c_const if ok else -sign * worst, node, note))
     return checks
 
 
@@ -380,9 +367,11 @@ def validate_assumptions(
 
     Modes: "periodic" (periodicity, nonnegativity, coupling bound),
     "periodic-strict" (additionally lambda > 0 at every node),
-    "asymptotic" (ordering below a periodic reference plus tail decay),
-    "asymptotic-strict", and "nonexistence" (sign conditions on the radial
-    derivatives, reporting the smallest admissible growth constants).
+    "asymptotic" (nonnegativity, coupling bound, ordering below the reference
+    plus tail decay, and the reference's own "periodic" checks, each named
+    "ref:<name>"), "asymptotic-strict" (additionally lambda > 0), and
+    "nonexistence" (sign conditions on the radial derivatives, reporting the
+    smallest admissible growth constants).
     Strict inequalities are checked strictly; ties fail with the offending
     node reported.
     """
@@ -395,11 +384,7 @@ def validate_assumptions(
 
     if mode in ("periodic", "periodic-strict"):
         prefix = "V2"
-        checks.append(_check_periodicity(ps, grid))
-        checks.append(_check_nonneg("V2:V1>=0", ps.v1, grid))
-        checks.append(_check_nonneg("V2:V2>=0", ps.v2, grid))
-        name = "V3':coupling" if mode == "periodic-strict" else "V3:coupling"
-        checks.append(_check_coupling_bound(name, ps, grid, strict=mode == "periodic-strict"))
+        checks.extend(_periodic_checks(ps, grid, strict=mode == "periodic-strict"))
     elif mode in ("asymptotic", "asymptotic-strict"):
         prefix = "V5"
         if reference is None:
@@ -410,6 +395,7 @@ def validate_assumptions(
         name = "V6':coupling" if mode == "asymptotic-strict" else "V6:coupling"
         checks.append(_check_coupling_bound(name, ps, grid, strict=mode == "asymptotic-strict"))
         checks.extend(_check_asymptotic(ps, reference, grid, tail_tol))
+        checks.extend(replace(c, name=f"ref:{c.name}") for c in _periodic_checks(reference, grid))
     else:  # nonexistence: the radial conditions take the place of nu
         prefix = None
         checks.append(_check_nonneg("V7:V1>=0", ps.v1, grid))

@@ -1,13 +1,21 @@
-"""Opt-in pytest plugin that logs the exact bits of every solve and estimate.
+"""Opt-in pytest plugin that logs the exact bits of every solve, estimate and validation.
 
-    PYTHONPATH=src:tests python -m pytest -q -p bitlog --bitlog bits.jsonl
+    PYTHONPATH=src:tests python -m pytest -q -p bitlog --bitlog=bits.jsonl
+
+(Write ``--bitlog=PATH`` as one argument: pytest takes a separate ``PATH`` that
+exists for a test path when it picks its root directory, and a log file outside
+the checkout then prefixes every test id with the checkout's name.)
 
 While the suite runs, every result of ``minimize_ground_state``,
 ``estimate_sobolev_constant`` and ``pohozaev_residual`` is recorded as one JSON
 line: the test that produced it, the call's index within that test,
 ``float.hex`` of the energy and the gradient norm, the iteration count and the
 flags of a solve, of the estimate, or of ``lhs``, ``rhs`` and ``grad_norm`` of a
-Pohozaev balance.  A call that raises records the exception's type.
+Pohozaev balance.  Every ``validate_assumptions`` report is recorded too: its
+mode and, per check, the name, ``passed``, ``float.hex`` of the worst value, the
+node and the note.  Validations are indexed apart from the other results, so a
+change that validates more or less often leaves the results' indices alone.
+A call that raises records the exception's type.
 Two logs of the same suite, run on two versions of the code, are identical
 exactly when every result kept every bit, so ``diff`` compares them.  A change
 that moves results by rounding is compared within a tolerance instead:
@@ -36,6 +44,7 @@ import sys
 _WRAPPED = {
     "csgs.solver": ("minimize_ground_state", "estimate_sobolev_constant"),
     "csgs.diagnostics": ("pohozaev_residual",),
+    "csgs.potentials": ("validate_assumptions",),
 }
 FLOATS = ("energy", "grad_norm", "estimate", "lhs", "rhs")
 FLAGS = ("converged", "failure", "raised")
@@ -46,8 +55,8 @@ RESIDUALS = {("minimize_ground_state", "grad_norm")}
 
 def pytest_addoption(parser):
     parser.addoption("--bitlog", metavar="PATH", default=None,
-                     help="write the bits of every solve, Sobolev estimate and Pohozaev balance "
-                          "to PATH")
+                     help="write the bits of every solve, Sobolev estimate, Pohozaev balance "
+                          "and assumption validation to PATH")
 
 
 def _describe(name, result):
@@ -55,6 +64,10 @@ def _describe(name, result):
         return {"estimate": float.hex(result)}
     if name == "pohozaev_residual":
         return {k: float.hex(getattr(result, k)) for k in ("lhs", "rhs", "grad_norm")}
+    if name == "validate_assumptions":
+        checks = [{"name": c.name, "passed": c.passed, "worst": float.hex(float(c.worst_value)),
+                   "node": c.worst_node, "note": c.note} for c in result.checks]
+        return {"mode": result.mode, "checks": checks}
     return {
         "energy": float.hex(result.energy),
         "grad_norm": float.hex(result.grad_norm),
@@ -82,7 +95,8 @@ class BitLog:
         @functools.wraps(fn)
         def logged(*args, **kwargs):
             test = os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" (", 1)[0]
-            index = self.calls[test] = self.calls.get(test, -1) + 1
+            counter = (test, name == "validate_assumptions")
+            index = self.calls[counter] = self.calls.get(counter, -1) + 1
             record = {"test": test, "call": index, "fn": name}
             try:
                 result = fn(*args, **kwargs)
@@ -111,7 +125,7 @@ class BitLog:
 
     def write(self):
         with open(self.path, "w", encoding="utf-8") as fh:
-            for record in sorted(self.records, key=lambda r: (r["test"], r["call"])):
+            for record in sorted(self.records, key=lambda r: (r["test"], r["call"], r["fn"])):
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 

@@ -15,7 +15,7 @@ SRC = TESTS.parent / "src"
 CASE = """
 import numpy as np
 from csgs import (FieldPair, GridSpec, PotentialDef, ProblemSpec, SolveOptions, build_grid,
-                  sample_potentials)
+                  sample_potentials, validate_assumptions)
 from csgs.diagnostics import pohozaev_residual
 from csgs.solver import minimize_ground_state
 
@@ -23,6 +23,8 @@ def test_solve():
     g = build_grid(GridSpec(1, 4.0, 32))
     C = PotentialDef.constant
     ps = sample_potentials((C(1.0), C(1.0), C(0.3)), 0.3, g)
+    val = validate_assumptions(ps, "periodic")
+    print("WORST", *(float(c.worst_value).hex() for c in val.checks))
     rep = minimize_ground_state(ps, ProblemSpec(1, 4.0, 4.0, 1.0), g, SolveOptions(max_iters=5))
     print("ENERGY", rep.energy.hex())
 
@@ -52,7 +54,9 @@ def test_records_each_solve_bit_for_bit(tmp_path):
     assert run.returncode == 0, run.stdout + run.stderr
     energy = run.stdout.split("ENERGY ", 1)[1].split()[0]
     balance = run.stdout.split("POHOZAEV ", 1)[1].split()[:3]
-    balanced, record = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    worst = run.stdout.split("WORST ", 1)[1].split()[:4]
+    balanced, record, validated = [json.loads(line)
+                                   for line in log.read_text(encoding="utf-8").splitlines()]
     assert record["test"] == "test_case.py::test_solve"
     assert record["fn"] == "minimize_ground_state"
     assert record["energy"] == energy
@@ -60,6 +64,14 @@ def test_records_each_solve_bit_for_bit(tmp_path):
     assert balanced["test"] == "test_case.py::test_pohozaev"
     assert balanced["fn"] == "pohozaev_residual" and balanced["call"] == 0
     assert [balanced[k] for k in ("lhs", "rhs", "grad_norm")] == balance
+    # validations are indexed apart, so the solve after one is still call 0
+    assert record["call"] == 0
+    assert validated["fn"] == "validate_assumptions" and validated["call"] == 0
+    assert validated["mode"] == "periodic"
+    assert [c["name"] for c in validated["checks"]] == [
+        "V1:periodicity", "V2:V1>=0", "V2:V2>=0", "V3:coupling"]
+    assert [c["worst"] for c in validated["checks"]] == worst
+    assert all(c["passed"] for c in validated["checks"])
 
 
 def test_not_loaded_by_default(tmp_path):

@@ -89,6 +89,20 @@ kind = radial-quadratic
 coeff = -0.25
 """
 
+# criterion 7's set: Gaussian wells below a constant reference set pass the asymptotic checks
+ASYM_CFG = BASE_CFG.split("[potential.v1]")[0].replace(
+    "delta = 0.3\nmode = periodic", "delta = 0.5\nmode = asymptotic"
+) + "".join(
+    f"[potential.{name}]\nkind = gaussian\nbase = {base}\namp = {amp}\nsigma = 1.0\n"
+    f"[reference.{name}]\nkind = constant\nvalue = {base}\n"
+    for name, base, amp in (("v1", 2.0, -0.5), ("v2", 2.0, -0.5), ("lambda", 0.4, 0.1))
+)
+# a reference V1 that is not periodic but passes every other check
+GAUSSIAN_REFERENCE_CFG = ASYM_CFG.replace(
+    "[reference.v1]\nkind = constant\nvalue = 2.0\n",
+    "[reference.v1]\nkind = gaussian\nbase = 2.0\namp = 0.1\nsigma = 1.0\n",
+)
+
 NON_FINITE_CASES = {
     "solver.grad_tol": lambda v: BASE_CFG.replace("grad_tol = 1e-6", f"grad_tol = {v}"),
     "problem.mu": lambda v: BASE_CFG.replace("mu = 1.0", f"mu = {v}"),
@@ -244,6 +258,18 @@ class TestFieldFile:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(FieldFileError, match=r"payload short: expected 2\*n\^d\*8"):
+            read_field(path)
+
+    @pytest.mark.parametrize(
+        "dim, n, half_width, payload",
+        [(20_000, 4, 2.0, 4), (0, 4, 2.0, 16), (1, 5, 2.0, 80), (1, 4, -1.0, 64)],
+        ids=["dim-20000", "dim-0", "odd-n", "negative-half-width"],
+    )
+    def test_bad_header_rejected_before_sizing(self, tmp_path, dim, n, half_width, payload):
+        # the payload size n^dim once came from the unchecked header
+        path = tmp_path / "f.csgs"
+        path.write_bytes(struct.pack("<4sIIIdB", b"CSGS", 1, dim, n, half_width, 0) + bytes(payload))
+        with pytest.raises(FieldFileError, match="bad field-file header"):
             read_field(path)
 
     def test_non_finite_payload_rejected(self, tmp_path, grid_1d):
@@ -429,19 +455,40 @@ class TestCli:
     def test_compare_with_init_file_exit1(self, tmp_path, capsys):
         field = tmp_path / "start.csgs"
         write_field(random_pair(build_grid(GridSpec(1, 4.0, 64))), field)
-        # Gaussian wells below a constant reference set pass the asymptotic checks
-        sets = "".join(
-            f"[potential.{name}]\nkind = gaussian\nbase = {base}\namp = {amp}\nsigma = 1.0\n"
-            f"[reference.{name}]\nkind = constant\nvalue = {base}\n"
-            for name, base, amp in (("v1", 2.0, -0.5), ("v2", 2.0, -0.5), ("lambda", 0.4, 0.1))
-        )
-        head = BASE_CFG.split("[potential.v1]")[0]
-        head = head.replace("delta = 0.3\nmode = periodic", "delta = 0.5\nmode = asymptotic")
-        text = head + sets + f"[solver]\ninit = file\ninit_file = {field}\n"
+        text = ASYM_CFG + f"[solver]\ninit = file\ninit_file = {field}\n"
         cfg = self._write(tmp_path, text)
         code = run_cli(["compare", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 1
         assert "solver.init" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "sweep", "compare"])
+    def test_non_periodic_reference_exit2(self, tmp_path, capsys, command):
+        cfg = self._write(tmp_path, GAUSSIAN_REFERENCE_CFG + "[sweep]\nmu_values = 1.0\n")
+        code = run_cli([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "[FAIL] ref:V1:periodicity" in out
+        assert out.count("[FAIL]") == 1
+        rows = read_csv_rows(tmp_path / "out" / "validation_report.csv")
+        assert [r["passed"] for r in rows if r["assumption"] == "ref:V1:periodicity"] == ["false"]
+
+    @pytest.mark.parametrize("mode, coupling", [("asymptotic", "V6:coupling"),
+                                                ("asymptotic-strict", "V6':coupling")])
+    def test_compare_validates_once_in_its_mode(self, tmp_path, mode, coupling):
+        text = ASYM_CFG.replace("mode = asymptotic", f"mode = {mode}")
+        cfg = self._write(tmp_path, text + "[solver]\nmax_iters = 2000\ngrad_tol = 1e-6\n")
+        out = tmp_path / "out"
+        assert run_cli(["compare", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == ["compare.csv", "validation_report.csv"]
+        assert read_csv_rows(out / "compare.csv")[0]["passed"] == "true"
+        names = [r["assumption"] for r in read_csv_rows(out / "validation_report.csv")]
+        assert coupling in names and "ref:V1:periodicity" in names
+
+    def test_compare_in_periodic_mode_exit1(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, ASYM_CFG.replace("mode = asymptotic", "mode = periodic"))
+        code = run_cli(["compare", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "asymptotic" in capsys.readouterr().err
 
     def test_solve_with_infinite_tolerance_exit1(self, tmp_path, capsys):
         cfg = self._write(tmp_path, NON_FINITE_CASES["solver.grad_tol"]("inf"))

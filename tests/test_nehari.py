@@ -117,18 +117,21 @@ class TestFiberingScale:
             (1.0, 6.0, 1e-310, 10**77.5, 10**155 / 3.0),
             (1e-100, 4.0, 1e100, 1e-100, 2.5e-301),
             (1e-100, 6.0, 1e300, 1e-100, 1e-300 / 3.0),
+            (1e100, 2.1, 1e117, 1e-170, 1e-240 / 42.0),
+            (1e-7, 4.0, 1e-320, 1e-7**0.5 / 1e-320**0.5, 1e-14 / (4.0 * 1e-320)),
         ],
-        ids=["q4", "q6", "q6-subnormal-norm", "q4-underflow", "q6-underflow"],
+        ids=["q4", "q6", "q6-subnormal-norm", "q4-underflow", "q6-underflow", "square-underflow",
+             "square-overflow"],
     )
     def test_energy_whose_power_alone_leaves_the_range(self, quad, q, qnorm, t, energy):
-        # phi(t) = t^(q-2) qnorm - B: t^q overflows or underflows, but t^q qnorm = t^2 B
+        # phi(t) = t^(q-2) qnorm - B: t^q (or t^2) overflows or underflows, but t^q qnorm = t^2 B
         # and the energy t^2 B (1/2 - 1/q) do not
-        spec = ProblemSpec(3, 4.0, q, 1.0)
+        spec = ProblemSpec(3, q, q, 1.0)  # p is idle: mu ||u||_p^p = 0
         inv = PairInvariants(quad=quad, coupling=0.0, pnorm_mu=0.0, qnorm=qnorm)
         diag = fibering_scale_from_invariants(inv, spec)
         assert diag.t_mu == pytest.approx(t, rel=1e-12, abs=0.0)
         assert diag.g_at_t == pytest.approx(energy, rel=1e-12, abs=0.0)
-        assert abs(inv.constraint_at(diag.t_mu, spec)) <= 1e-9 * t * t * quad
+        assert abs(inv.constraint_at(diag.t_mu, spec)) <= 1e-9 * t * (t * quad)
         assert diag.residual <= 1e-12 * quad
 
     @pytest.mark.parametrize("qnorm", [1e200, 1e230, 1e250, 1e300])

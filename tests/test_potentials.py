@@ -158,6 +158,7 @@ class TestAsymptoticValidation:
         ref, asym = asym_pair(grid_1d)
         rep = validate_assumptions(asym, "asymptotic", reference=ref)
         assert rep.overall
+        assert rep.find("ref:V1:periodicity").passed and rep.find("ref:V3:coupling").passed
 
     def test_reference_required(self, grid_1d):
         _, asym = asym_pair(grid_1d)
@@ -168,6 +169,8 @@ class TestAsymptoticValidation:
         ref, asym = asym_pair(grid_1d)
         rep = validate_assumptions(ref, "asymptotic", reference=asym)
         assert not rep.overall
+        # the Gaussian reference is not periodic either
+        assert not rep.find("ref:V1:periodicity").passed
 
     def test_tie_fails_strict_ordering(self, grid_1d):
         ref, _ = asym_pair(grid_1d)
@@ -226,7 +229,36 @@ class TestNonexistenceValidation:
             grid_3d_small,
         )
         rep = validate_assumptions(ps, "nonexistence")
-        assert not rep.find("V8:lambda").passed
+        v8 = rep.find("V8:lambda")
+        assert not v8.passed
+        assert v8.worst_value == pytest.approx(6.0)  # the largest <grad lambda, x>, at a corner
+
+    def test_shrinking_potential_fails_sign(self, grid_3d_small):
+        # <grad V1, x> = -|x|^2 exp(-|x|^2) is least, -1/e, at |x| = 1
+        defs = (PotentialDef.gaussian(1.0, 0.5, 1.0), PotentialDef.radial_quadratic(0.5), CONST(0.1))
+        rep = validate_assumptions(sample_potentials(defs, 0.5, grid_3d_small), "nonexistence")
+        v7 = rep.find("V7:V1")
+        assert not v7.passed
+        assert v7.worst_value == pytest.approx(-math.exp(-1.0))
+
+    @pytest.mark.parametrize(
+        "index, name, note",
+        [
+            (0, "V7:V1", "<grad V,x> > 0 where V = 0 (analytic)"),
+            (2, "V8:lambda", "<grad l,x> != 0 where lambda = 0 (analytic)"),
+        ],
+        ids=["V7", "V8"],
+    )
+    def test_vanishing_coefficient_that_moves_fails(self, grid_3d_small, index, name, note):
+        # f = 0 everywhere with <grad f, x> = |x|^2: no growth constant C gives |<grad f, x>| <= C f
+        r2 = lambda c: sum(x * x for x in c)
+        defs = [PotentialDef.radial_quadratic(c) for c in (0.5, 0.5, -0.25)]  # the model pair
+        defs[index] = PotentialDef.from_callback(lambda c: np.zeros_like(c[0]), r2)
+        rep = validate_assumptions(sample_potentials(tuple(defs), 0.5, grid_3d_small), "nonexistence")
+        check = rep.find(name)
+        assert not check.passed
+        assert check.note == note
+        assert check.worst_value == pytest.approx(12.0)  # |x|^2 at a corner of [-2, 2)^3
 
 
 class TestEstimateNu:
