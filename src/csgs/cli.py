@@ -69,7 +69,7 @@ def _validate(cfg: RunConfig, grid: Grid, out: Path, *, compute_nu: bool) -> tup
             raise ConfigError("asymptotic validation requires [reference.*] sections")
         reference = sample_potentials(cfg.reference_defs, cfg.delta, grid)
     rep = validate_assumptions(
-        ps, cfg.mode, reference=reference, grid=grid, tail_tol=cfg.tail_tol,
+        ps, cfg.mode, reference=reference, tail_tol=cfg.tail_tol,
         compute_nu=compute_nu,
     )
     write_report_csv(rep, out / "validation_report.csv")
@@ -173,7 +173,7 @@ def _cmd_pohozaev(cfg: RunConfig, grid: Grid, out: Path) -> int:
         f"shell_max={rep.boundary_shell_max:.3e}"
     )
     if cfg.mode == "nonexistence":
-        val = validate_assumptions(ps, "nonexistence", grid=grid)
+        val = validate_assumptions(ps, "nonexistence")
         write_report_csv(val, out / "validation_report.csv")
         if not val.overall:
             _print_validation(val)

@@ -12,6 +12,7 @@ assumption nodewise, which is the strongest test the discretization admits.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, GridMismatchError
-from .grid import Grid, apply_laplacian, integrate, shifted_inverse
+from .grid import Grid, apply_laplacian, shifted_inverse
 
 # parameter names of each built-in kind, in ``params`` order
 KIND_PARAMS = {
@@ -329,28 +330,31 @@ def _check_radial(ps, grid) -> list[AssumptionCheck]:
     )
     tiny = 1e-12 * scale_env
     (rad1, path1), (rad2, path2), (radl, pathl) = ps.radial
-    v7 = ("", "<grad V,x> > 0 where V = 0")
+    v7 = ("<grad V,x> >= 0", "", "<grad V,x> > 0 where V = 0")
     # V7 asks <grad V, x> >= 0 and V8 <grad lambda, x> <= 0, so -sign * rad is the violation;
     # C = max size / f is the least constant with size <= C f, and where f = 0 size must vanish
     checks = []
-    for name, sign, rad, size, f, (claim, degenerate_note), path in (
+    for name, sign, rad, size, f, (condition, claim, degenerate_note), path in (
         ("V7:V1", 1, rad1, rad1, ps.v1, v7, path1),
         ("V7:V2", 1, rad2, rad2, ps.v2, v7, path2),
         ("V8:lambda", -1, radl, np.abs(radl), np.abs(ps.lam),
-         ("<grad lambda,x> <= 0; ", "<grad l,x> != 0 where lambda = 0"), pathl),
+         ("<grad lambda,x> <= 0", "<grad lambda,x> <= 0; ", "<grad l,x> != 0 where lambda = 0"),
+         pathl),
     ):
         worst, node = _worst(grid, -sign * rad)
         degenerate = (f <= tiny) & (size > tiny)
         if np.any(degenerate):
             wv, wn = _worst(grid, np.where(degenerate, size, -np.inf))
             checks.append(AssumptionCheck(name, False, wv, wn, f"{degenerate_note} ({path})"))
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(f > tiny, size / np.where(f > tiny, f, 1.0), 0.0)
-        c_const = float(np.max(ratio))
-        ok = worst <= tiny
-        note = f"{claim}smallest admissible C = {c_const:.12g} ({path})"
-        checks.append(AssumptionCheck(name, bool(ok), c_const if ok else -sign * worst, node, note))
+        elif not worst <= tiny:  # the sign condition fails, so no C is admissible
+            note = f"{condition} fails ({path})"
+            checks.append(AssumptionCheck(name, False, -sign * worst, node, note))
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(f > tiny, size / np.where(f > tiny, f, 1.0), 0.0)
+            c_const = float(np.max(ratio))
+            note = f"{claim}smallest admissible C = {c_const:.12g} ({path})"
+            checks.append(AssumptionCheck(name, True, c_const, node, note))
     return checks
 
 
@@ -358,12 +362,11 @@ def validate_assumptions(
     ps: PotentialSet,
     mode: str,
     reference: PotentialSet | None = None,
-    grid: Grid | None = None,
     *,
     tail_tol: float = 1e-2,
     compute_nu: bool = False,
 ) -> ValidationReport:
-    """Nodewise verification of the structural assumptions for a given mode.
+    """Nodewise verification, on ``ps.grid``, of the structural assumptions for a given mode.
 
     Modes: "periodic" (periodicity, nonnegativity, coupling bound),
     "periodic-strict" (additionally lambda > 0 at every node),
@@ -377,8 +380,7 @@ def validate_assumptions(
     """
     if mode not in VALIDATION_MODES:
         raise ValueError(f"unknown validation mode {mode!r}")
-    grid = grid or ps.grid
-    ps.check_grid(grid)
+    grid = ps.grid
     checks: list[AssumptionCheck] = []
     nu1 = nu2 = None
 
@@ -403,67 +405,51 @@ def validate_assumptions(
         checks.append(_check_coupling_bound("V6:coupling", ps, grid, strict=False))
         checks.extend(_check_radial(ps, grid))
     if compute_nu and prefix is not None:
-        nu1, nu2 = estimate_nu(ps, grid)
+        nu1, nu2 = estimate_nu(ps)
         checks.append(AssumptionCheck(f"{prefix}:nu1>0", bool(nu1 > 1e-8), nu1))
         checks.append(AssumptionCheck(f"{prefix}:nu2>0", bool(nu2 > 1e-8), nu2))
 
     return ValidationReport(mode, checks, nu1, nu2)
 
 
-def _rayleigh(x: np.ndarray, v: np.ndarray, grid: Grid) -> float:
-    num = integrate(x * (-apply_laplacian(x, grid)) + v * x * x, grid)
-    den = integrate(x * x, grid)
-    return num / den
+def estimate_nu(ps: PotentialSet) -> tuple[float, float]:
+    """Bottom of the spectrum of -Laplacian + V_i on ``ps.grid``, for i = 1, 2.
 
-
-def estimate_nu(ps: PotentialSet, grid: Grid | None = None) -> tuple[float, float]:
-    """Smallest Rayleigh quotient of -Laplacian + V_i for i = 1, 2.
-
-    Shifted inverse power iteration; inner solves by conjugate gradients
-    (relative tolerance 1e-12) with an FFT preconditioner on periodic
-    spectral grids.  Converges when successive eigenvalue estimates differ
-    by at most 1e-8, and raises :class:`ConvergenceError` after 500
-    iterations.
+    One ``scipy.sparse.linalg.lobpcg`` call (Knyazev 2001) per potential, from the constant
+    vector so that the result is deterministic, preconditioned by (s - Laplacian)^-1 with
+    s = 1 + max(mean V_i, 0) > 0: :func:`shifted_inverse` (the spectral symbol, fd2 too) on
+    periodic grids, the DST-I, exact for the zero-wall stencil, on Dirichlet grids.  LOBPCG
+    stops at residual norm 1e-9 for a unit vector or after 10 iterations per node, its warnings
+    silenced; one more operator application then checks the pair (nu, x) and raises
+    :class:`ConvergenceError` unless ||A x - nu x|| <= 1e-8 max(1, |nu|) ||x||.
     """
-    grid = grid or ps.grid
-    ps.check_grid(grid)
-    return _smallest_eig(ps.v1, grid), _smallest_eig(ps.v2, grid)
+    return _smallest_eig(ps.v1, ps.grid), _smallest_eig(ps.v2, ps.grid)
 
 
 def _smallest_eig(v: np.ndarray, grid: Grid) -> float:
     # scipy loads here, so that importing csgs does not pay for it
-    from scipy.sparse.linalg import LinearOperator, cg
+    from scipy.sparse.linalg import lobpcg
 
-    n = grid.num_nodes
-    shift = 1.0  # operator is PSD for validated V, so A + shift is definite
+    n, s = grid.num_nodes, 1.0 + max(float(np.mean(v)), 0.0)
 
-    def matvec(x):
-        f = x.reshape(grid.shape)
-        return ((-apply_laplacian(f, grid)) + (v + shift) * f).ravel()
+    def op(x):  # -Laplacian + V on each column of x
+        f = x.T.reshape(-1, *grid.shape)
+        return (v * f - apply_laplacian(f, grid)).reshape(len(f), n).T
 
-    op = LinearOperator((n, n), matvec=matvec, dtype=float)
-
-    precond = None
-    if grid.spec.laplacian_mode == "spectral":
-        diag_shift = float(np.mean(v)) + shift
-
-        def psolve(x):
-            return shifted_inverse(x.reshape(grid.shape), diag_shift, grid).ravel()
-
-        precond = LinearOperator((n, n), matvec=psolve, dtype=float)
-
-    x = np.ones(grid.shape)
-    x /= np.sqrt(integrate(x * x, grid))
-    nu_prev = _rayleigh(x, v, grid)
-    for _ in range(500):
-        y, info = cg(op, x.ravel(), x0=x.ravel(), rtol=1e-12, atol=0.0, M=precond,
-                     maxiter=10 * n)
-        if info != 0:
-            raise ConvergenceError(f"inner CG solve failed (info={info})")
-        x = y.reshape(grid.shape)
-        x /= np.sqrt(integrate(x * x, grid))
-        nu = _rayleigh(x, v, grid)
-        if abs(nu - nu_prev) <= 1e-8:
-            return float(nu)
-        nu_prev = nu
-    raise ConvergenceError("inverse power iteration did not reach tol=1e-8 in 500 iterations")
+    if grid.is_periodic:
+        inverse = lambda f: shifted_inverse(f, s, grid)
+    else:  # the zero-wall stencil's eigenvalues, one DST-I mode per node along each axis
+        from scipy.fft import dstn, idstn
+        m = grid.spec.points_per_dim
+        k2 = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))) / grid.spacing**2
+        symbol = s + sum(np.meshgrid(*(k2,) * grid.spec.dim, indexing="ij", sparse=True))
+        inverse = lambda f: idstn(dstn(f, type=1) / symbol, type=1)
+    precond = lambda r: inverse(r.reshape(grid.shape)).reshape(r.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        nu, x = lobpcg(op, np.ones((n, 1)), M=precond, tol=1e-9, maxiter=10 * n, largest=False)
+    nu = float(nu[0])
+    residual = float(np.linalg.norm(op(x) - nu * x))
+    if not residual <= 1e-8 * max(1.0, abs(nu)) * float(np.linalg.norm(x)):
+        raise ConvergenceError(f"LOBPCG left residual {residual:.3g} at nu = {nu:.12g}")
+    return nu

@@ -1,4 +1,5 @@
 import ast
+import math
 import struct
 from pathlib import Path
 
@@ -414,6 +415,17 @@ class TestCli:
         assert "PASS" in out
         assert "C = 2" in out
         assert (tmp_path / "out" / "validation_report.csv").exists()
+
+    def test_validate_negative_potential_on_dirichlet_grid_exit2(self, tmp_path):
+        # V1 = -2 on 64 interior nodes with h = 1/8: nu1 = -2 + (2 - 2 cos(pi/65)) / h^2
+        text = BASE_CFG.replace("points_per_dim = 64", "points_per_dim = 64\nboundary = dirichlet\n"
+                                "laplacian = fd2").replace("value = 1.0", "value = -2.0", 1)
+        cfg = self._write(tmp_path, text)
+        code = run_cli(["validate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        rows = {r["assumption"]: r for r in read_csv_rows(tmp_path / "out" / "validation_report.csv")}
+        nu1 = -2.0 + 64.0 * (2.0 - 2.0 * math.cos(math.pi / 65))
+        assert float(rows["nu1"]["worst_value"]) == pytest.approx(nu1, abs=1e-10)  # -1.8505
 
     def test_solve_zero_budget_exit3(self, tmp_path):
         cfg = self._write(tmp_path, BASE_CFG.replace("max_iters = 2000", "max_iters = 0"))

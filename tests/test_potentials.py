@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,14 @@ from csgs import (
     sample_potentials,
     validate_assumptions,
 )
-from csgs.errors import GridMismatchError
+from csgs.errors import ConvergenceError, GridMismatchError
 from csgs.grid import apply_laplacian
 
 CONST = PotentialDef.constant
+# V = -2 + 0.5 cos(2 pi x_1) + 3 exp(-|x|^2): negative far out, positive near the origin
+SIGN_CHANGING = PotentialDef.from_callback(
+    lambda c: -2.0 + 0.5 * np.cos(2.0 * np.pi * c[0]) + 3.0 * np.exp(-sum(x * x for x in c))
+)
 
 
 def model_pair_set(grid, delta=0.5):
@@ -232,6 +237,7 @@ class TestNonexistenceValidation:
         v8 = rep.find("V8:lambda")
         assert not v8.passed
         assert v8.worst_value == pytest.approx(6.0)  # the largest <grad lambda, x>, at a corner
+        assert v8.note == "<grad lambda,x> <= 0 fails (analytic)"  # no C is admissible
 
     def test_shrinking_potential_fails_sign(self, grid_3d_small):
         # <grad V1, x> = -|x|^2 exp(-|x|^2) is least, -1/e, at |x| = 1
@@ -240,6 +246,7 @@ class TestNonexistenceValidation:
         v7 = rep.find("V7:V1")
         assert not v7.passed
         assert v7.worst_value == pytest.approx(-math.exp(-1.0))
+        assert v7.note == "<grad V,x> >= 0 fails (analytic)"  # no C is admissible
 
     @pytest.mark.parametrize(
         "index, name, note",
@@ -276,7 +283,7 @@ class TestEstimateNu:
         nu1, _ = estimate_nu(ps)
         # lowest eigenvalue of the zero-wall stencil: n interior nodes, n + 1 gaps
         lam = c + dim * (2.0 - 2.0 * math.cos(math.pi / (n + 1))) / g.spacing**2
-        assert lam - 1e-12 <= nu1 <= lam + 1e-7
+        assert abs(nu1 - lam) <= 1e-10 * lam
 
     def test_zero_potential_flagged(self, grid_1d):
         ps = sample_potentials((CONST(0.0), CONST(1.0), CONST(0.0)), 0.5, grid_1d)
@@ -284,12 +291,24 @@ class TestEstimateNu:
         assert abs(rep.nu1) <= 1e-8
         assert not rep.find("V2:nu1>0").passed
 
-    def test_cosine_against_dense_oracle(self, grid_1d_unit):
-        g = grid_1d_unit
-        ps = sample_potentials(
-            (PotentialDef.cosine_lattice(1.0, 1.0), CONST(1.0), CONST(0.0)), 0.5, g
-        )
-        nu1, _ = estimate_nu(ps)
+    @pytest.mark.parametrize(
+        "spec, v1",
+        [
+            (GridSpec(1, 1.0, 64), PotentialDef.cosine_lattice(1.0, 1.0)),
+            (GridSpec(1, 4.0, 64), SIGN_CHANGING),
+            (GridSpec(2, 2.0, 16, "periodic", "fd2"), SIGN_CHANGING),
+            (GridSpec(1, 4.0, 64, "dirichlet", "fd2"), SIGN_CHANGING),
+            (GridSpec(2, 2.0, 16, "dirichlet", "fd2"), SIGN_CHANGING),
+            (GridSpec(1, 4.0, 4, "dirichlet", "fd2"), SIGN_CHANGING),  # LOBPCG goes dense
+        ],
+        ids=["cosine-1d", "spectral-1d", "fd2-2d", "dirichlet-1d", "dirichlet-2d", "four-nodes"],
+    )
+    def test_against_dense_oracle(self, spec, v1):
+        g = build_grid(spec)
+        ps = sample_potentials((v1, CONST(1.0), CONST(0.0)), 0.5, g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nu1, _ = estimate_nu(ps)
         n = g.num_nodes
         dense = np.zeros((n, n))
         for j in range(n):
@@ -297,7 +316,16 @@ class TestEstimateNu:
             e[j] = 1.0
             dense[:, j] = -apply_laplacian(e.reshape(g.shape), g).ravel() + ps.v1.ravel() * e
         oracle = float(np.linalg.eigvalsh(0.5 * (dense + dense.T))[0])
-        assert nu1 == pytest.approx(oracle, abs=1e-8)
+        assert abs(nu1 - oracle) <= 1e-10 * max(1.0, abs(oracle))
+
+    def test_wrong_pair_raises(self, grid_1d, monkeypatch):
+        # the residual test after the call catches an eigenpair LOBPCG got wrong
+        import scipy.sparse.linalg
+
+        monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", lambda A, X, **kw: (np.array([0.5]), X))
+        ps = sample_potentials((CONST(1.0), CONST(1.0), CONST(0.0)), 0.5, grid_1d)
+        with pytest.raises(ConvergenceError, match="residual"):
+            estimate_nu(ps)
 
     def test_nonnegative_for_nonnegative_potentials(self, grid_1d):
         rng = np.random.default_rng(7)
