@@ -60,6 +60,10 @@ class GridSpec:
             raise ValueError(f"n must be even, got {n}")
         if n < 4:
             raise ValueError(f"n must be at least 4, got {n}")
+        # h^d as a product (pow raises where a product rounds to inf); if normal and finite, so is h
+        volume = math.prod((2.0 * self.half_width / n,) * self.dim)
+        if not np.finfo(float).tiny <= volume <= np.finfo(float).max:
+            raise ValueError(f"cell volume (2L/n)^d = {volume:g} is not a normal finite double")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {self.boundary!r}")
         if self.laplacian_mode not in LAPLACIAN_MODES:
@@ -103,22 +107,31 @@ class Grid:
     @cached_property
     def _rfft_wavenumbers(self) -> tuple[np.ndarray, ...]:
         # angular wavenumbers 2 pi m / (2L), broadcast-shaped for rfftn output
-        n = self.spec.points_per_dim
-        d = self.spec.dim
+        n, d = self.spec.points_per_dim, self.spec.dim
         k_full = 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
         k_half = k_full[: n // 2 + 1].copy()
         k_half[-1] = abs(k_half[-1])
-        out = []
-        for ax in range(d):
-            k = k_half if ax == d - 1 else k_full
-            shape = [1] * d
-            shape[ax] = len(k)
-            out.append(k.reshape(shape))
-        return tuple(out)
+        axes = [k_full] * (d - 1) + [k_half]
+        return tuple(k.reshape([-1 if a == ax else 1 for a in range(d)])
+                     for ax, k in enumerate(axes))
 
     @cached_property
     def _lap_multiplier(self) -> np.ndarray:
         return -sum(k * k for k in np.broadcast_arrays(*self._rfft_wavenumbers))
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        """The Laplacian's own eigenvalues: ``_lap_multiplier`` if spectral, else the stencil's, sum
+        over axes of (2 cos t - 2)/h^2, t = k h if periodic, pi j/(n+1), j = 1..n (DST-I) if not."""
+        if self.spec.laplacian_mode == "spectral":
+            return self._lap_multiplier
+        n, h = self.spec.points_per_dim, self.spacing
+        if self.is_periodic:
+            thetas = [k * h for k in self._rfft_wavenumbers]
+        else:
+            modes = np.pi * np.arange(1, n + 1) / (n + 1)
+            thetas = np.meshgrid(*(modes,) * self.spec.dim, indexing="ij", sparse=True)
+        return sum((2.0 * np.cos(t) - 2.0) / h**2 for t in thetas)
 
     # -- helpers ---------------------------------------------------------
 
@@ -221,6 +234,12 @@ def _inverse(fh: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.nd
     return np.fft.irfft(fh, grid.spec.points_per_dim, axis=-1, out=out)
 
 
+def _check_stack(f: np.ndarray, grid: Grid) -> None:
+    if f.shape[-grid.spec.dim :] != grid.shape or f.ndim > grid.spec.dim + 1:
+        raise GridMismatchError(f"field shape {f.shape} is neither grid shape {grid.shape} "
+                                "nor a stack of it")
+
+
 def apply_laplacian(f: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Laplacian of a grid function or of a stack of them (spectral or second-order stencil).
 
@@ -231,10 +250,7 @@ def apply_laplacian(f: np.ndarray, grid: Grid, out: np.ndarray | None = None) ->
     wraparound neighbors on periodic grids and zero walls on Dirichlet grids.
     """
     d = grid.spec.dim
-    if f.shape[-d:] != grid.shape or f.ndim > d + 1:
-        raise GridMismatchError(
-            f"field shape {f.shape} is neither grid shape {grid.shape} nor a stack of it"
-        )
+    _check_stack(f, grid)
     if out is not None and out.shape != f.shape:
         raise GridMismatchError(f"out shape {out.shape} does not match field shape {f.shape}")
     if grid.spec.laplacian_mode == "spectral":
@@ -256,15 +272,19 @@ def apply_laplacian(f: np.ndarray, grid: Grid, out: np.ndarray | None = None) ->
 
 
 def shifted_inverse(f: np.ndarray, shift: float, grid: Grid) -> np.ndarray:
-    """(shift - Lap)^-1 f by division by shift + |k|^2 in Fourier space.
+    """(shift - Lap)^-1 f, exact for the grid's own Laplacian, of one field or a stack of them.
 
-    Uses the spectral symbol on either Laplacian mode, so on fd2 grids it is
-    an approximate inverse (a preconditioner), exact only in spectral mode.
-    """
-    grid.check_conforms(f)
-    if not grid.is_periodic:
-        raise GridMismatchError("the Fourier-diagonal inverse requires a periodic grid")
-    return _inverse(_forward(f, grid) / (shift - grid._lap_multiplier), grid)
+    Each field of a stack is inverted as it would be alone, bit for bit.  Periodic grids divide
+    Fourier coefficients by shift + |k|^2 (spectral) or shift minus the stencil's eigenvalues
+    (fd2), Dirichlet grids DST-I coefficients (``scipy.fft``) by shift minus the zero-wall
+    stencil's."""
+    _check_stack(f, grid)
+    if grid.is_periodic:
+        return _inverse(_forward(f, grid) / (shift - grid._eigenvalues), grid)
+    from scipy.fft import dstn, idstn
+
+    axes = tuple(range(f.ndim - grid.spec.dim, f.ndim))
+    return idstn(dstn(f, type=1, axes=axes) / (shift - grid._eigenvalues), type=1, axes=axes)
 
 
 def spectral_partials(f: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:

@@ -416,9 +416,8 @@ def estimate_nu(ps: PotentialSet) -> tuple[float, float]:
     """Bottom of the spectrum of -Laplacian + V_i on ``ps.grid``, for i = 1, 2.
 
     One ``scipy.sparse.linalg.lobpcg`` call (Knyazev 2001) per potential, from the constant
-    vector so that the result is deterministic, preconditioned by (s - Laplacian)^-1 with
-    s = 1 + max(mean V_i, 0) > 0: :func:`shifted_inverse` (the spectral symbol, fd2 too) on
-    periodic grids, the DST-I, exact for the zero-wall stencil, on Dirichlet grids.  LOBPCG
+    vector so that the result is deterministic, preconditioned by the grid's exact
+    (s - Laplacian)^-1, :func:`shifted_inverse`, with s = 1 + max(mean V_i, 0) > 0.  LOBPCG
     stops at residual norm 1e-9 for a unit vector or after 10 iterations per node, its warnings
     silenced; one more operator application then checks the pair (nu, x) and raises
     :class:`ConvergenceError` unless ||A x - nu x|| <= 1e-8 max(1, |nu|) ||x||.
@@ -436,15 +435,7 @@ def _smallest_eig(v: np.ndarray, grid: Grid) -> float:
         f = x.T.reshape(-1, *grid.shape)
         return (v * f - apply_laplacian(f, grid)).reshape(len(f), n).T
 
-    if grid.is_periodic:
-        inverse = lambda f: shifted_inverse(f, s, grid)
-    else:  # the zero-wall stencil's eigenvalues, one DST-I mode per node along each axis
-        from scipy.fft import dstn, idstn
-        m = grid.spec.points_per_dim
-        k2 = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))) / grid.spacing**2
-        symbol = s + sum(np.meshgrid(*(k2,) * grid.spec.dim, indexing="ij", sparse=True))
-        inverse = lambda f: idstn(dstn(f, type=1) / symbol, type=1)
-    precond = lambda r: inverse(r.reshape(grid.shape)).reshape(r.shape)
+    precond = lambda r: shifted_inverse(r.reshape(grid.shape), s, grid).reshape(r.shape)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         nu, x = lobpcg(op, np.ones((n, 1)), M=precond, tol=1e-9, maxiter=10 * n, largest=False)

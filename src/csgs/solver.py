@@ -36,10 +36,11 @@ from .functional import (
 from .grid import (
     FieldPair,
     Grid,
+    _forward,
+    _inverse,
     _quadrature,
     apply_laplacian,
     integrate,
-    shifted_inverse,
     spectral_partials,
 )
 from .nehari import fibering_scale_from_invariants
@@ -448,6 +449,8 @@ def estimate_sobolev_constant(grid: Grid, *, search_radius: float = 0.01) -> flo
     slabs = rows.reshape(5, grid.spec.points_per_dim, -1)
 
     step = 1.0
+    # (1 - Lap)^-1 by the spectral symbol, fd2 too: the stencil's moves fd2 estimates by ~1e-4
+    smoother = 1.0 - grid._lap_multiplier
 
     def clip_to_ball(f):
         """The nearest point of the ball, and whether it lies on the wall."""
@@ -477,7 +480,7 @@ def estimate_sobolev_constant(grid: Grid, *, search_radius: float = 0.01) -> flo
             if nrm > 1e-13:
                 basis.append(c / nrm)
         onto = np.einsum("ki,kj->ij", basis, basis)  # the projector in row coefficients
-        direction = project(shifted_inverse(project(raw), 1.0, grid))  # (1 - Lap)^-1
+        direction = project(_inverse(_forward(project(raw), grid) / smoother, grid))
 
         slope = integrate(direction * raw, grid)
         if on_wall:

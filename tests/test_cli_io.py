@@ -263,8 +263,9 @@ class TestFieldFile:
 
     @pytest.mark.parametrize(
         "dim, n, half_width, payload",
-        [(20_000, 4, 2.0, 4), (0, 4, 2.0, 16), (1, 5, 2.0, 80), (1, 4, -1.0, 64)],
-        ids=["dim-20000", "dim-0", "odd-n", "negative-half-width"],
+        [(20_000, 4, 2.0, 4), (0, 4, 2.0, 16), (1, 5, 2.0, 80), (1, 4, -1.0, 64),
+         (3, 4, 1e200, 1024)],
+        ids=["dim-20000", "dim-0", "odd-n", "negative-half-width", "overflowing-cell"],
     )
     def test_bad_header_rejected_before_sizing(self, tmp_path, dim, n, half_width, payload):
         # the payload size n^dim once came from the unchecked header
@@ -540,6 +541,18 @@ class TestCli:
         cfg = self._write(tmp_path, bad)
         code = run_cli(["validate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("half_width", ["1e-120", "1e200"])
+    def test_solve_on_degenerate_cell_exit1(self, tmp_path, capsys, half_width):
+        # the cell volume h^3 underflowed to 0 or overflowed in build_grid
+        text = BASE_CFG.replace("dim = 1\nhalf_width = 4.0\npoints_per_dim = 64",
+                                f"dim = 3\nhalf_width = {half_width}\npoints_per_dim = 8")
+        cfg = self._write(tmp_path, text)
+        code = run_cli(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "[grid]" in err
+        assert not (tmp_path / "out" / "field.csgs").exists()
 
     def test_missing_config_exit1(self, tmp_path):
         code = run_cli(["solve", "--config", str(tmp_path / "nope.cfg")])

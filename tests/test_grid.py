@@ -33,6 +33,12 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="positive"):
             GridSpec(1, 0.0, 8)
 
+    @pytest.mark.parametrize("dim, half_width", [(3, 1e200), (2, 1e200), (3, 1e-120), (3, 1e308)])
+    def test_degenerate_cell_rejected(self, dim, half_width):
+        # h^d overflowed in build_grid, underflowed to a zero weight, or h itself was inf
+        with pytest.raises(ValueError, match="normal finite"):
+            GridSpec(dim, half_width, 8)
+
     def test_spectral_requires_periodic(self):
         with pytest.raises(ValueError, match="periodic"):
             GridSpec(1, 1.0, 8, "dirichlet", "spectral")
@@ -111,10 +117,12 @@ class TestLaplacian:
         back = 2.5 * x - apply_laplacian(x, grid_3d_small)
         assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
 
-    def test_shifted_inverse_requires_periodic(self):
-        g = build_grid(GridSpec(1, 1.0, 16, "dirichlet", "fd2"))
-        with pytest.raises(GridMismatchError):
-            shifted_inverse(np.ones(g.shape), 1.0, g)
+    def test_shifted_inverse_on_dirichlet_grid(self):
+        # the DST-I inverts the zero-wall stencil exactly, where a Fourier inverse once raised
+        g = build_grid(GridSpec(2, 1.0, 16, "dirichlet", "fd2"))
+        f = random_pair(g, 4).u
+        x = shifted_inverse(f, 1.0, g)
+        assert np.max(np.abs(x - apply_laplacian(x, g) - f)) <= 1e-12 * np.max(np.abs(f))
 
     @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
     def test_spectral_kernels_leave_their_argument(self, dim, n):

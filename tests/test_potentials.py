@@ -336,11 +336,17 @@ class TestEstimateNu:
 
 
 def test_import_loads_no_scipy():
-    # scipy serves only estimate_nu, which imports it on first call
+    # scipy serves estimate_nu and the Dirichlet shifted_inverse, which import it on first call
     src = str(Path(csgs.__file__).resolve().parents[1])
+    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import csgs; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"import sys; sys.path.insert(0, {src!r}); import csgs, numpy; {loaded}\n"
+        "from csgs.grid import shifted_inverse\n"
+        "def invert(boundary, mode):\n"
+        "    g = csgs.build_grid(csgs.GridSpec(1, 1.0, 8, boundary, mode))\n"
+        "    shifted_inverse(numpy.ones(g.shape), 1.0, g)\n"
+        f"invert('periodic', 'fd2'); {loaded}\n"
+        "invert('dirichlet', 'fd2'); print('scipy.fft' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]", "True"]

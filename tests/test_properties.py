@@ -122,6 +122,14 @@ def test_spectral_kernels_match_the_nd_transforms_bit_for_bit(spec, seed, shift)
     assert np.array_equal(apply_laplacian(stack, g), stack_lap)
 
 
+@given(spec=grid_specs(), seed=st.integers(0, 2**16), shift=st.floats(0.5, 10.0))
+def test_shifted_inverse_inverts_the_grids_own_laplacian(spec, seed, shift):
+    g = build_grid(spec)
+    f = random_pair(g, seed).u
+    x = shifted_inverse(f, shift, g)
+    assert np.max(np.abs(shift * x - apply_laplacian(x, g) - f)) <= 1e-12 * np.max(np.abs(f))
+
+
 @given(spec=grid_specs(), seed=st.integers(0, 2**16), count=st.integers(1, 3))
 def test_stacked_laplacian_matches_each_field_bit_for_bit(spec, seed, count):
     g = build_grid(spec)
@@ -133,6 +141,8 @@ def test_stacked_laplacian_matches_each_field_bit_for_bit(spec, seed, count):
     assert apply_laplacian(stack, g, out=out) is out
     assert apply_laplacian(stack[0], g, out=single) is single
     assert np.array_equal(out, each) and np.array_equal(single, each[0])
+    inverses = np.stack([shifted_inverse(f, 1.5, g) for f in stack])
+    assert np.array_equal(shifted_inverse(stack, 1.5, g), inverses)
     assert np.array_equal(stack, kept)
     for bad in (stack[..., :-2], stack[None], stack[..., None]):
         with pytest.raises(GridMismatchError):
@@ -266,7 +276,8 @@ def config_texts(draw):
     """Valid config documents over every key range and optional section."""
     dim = draw(st.integers(1, 3))
     boundary, mode = draw(st.sampled_from(KINDS))
-    text = f"[grid]\ndim = {dim}\nhalf_width = {draw(POSITIVE)!r}\n"
+    half_width = draw(st.floats(1e-100, 1e100))  # (2L/n)^d stays a normal double for n <= 128
+    text = f"[grid]\ndim = {dim}\nhalf_width = {half_width!r}\n"
     text += f"points_per_dim = {2 * draw(st.integers(2, 64))}\n"
     if (boundary, mode) != ("periodic", "spectral") or draw(st.booleans()):
         text += f"boundary = {boundary}\nlaplacian = {mode}\n"
