@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CandidateNotPositiveError
-from .functional import ProblemSpec, _gradient, pair_norm_l2
+from .functional import ProblemSpec, _check, _gradient, pair_norm_l2
 from .grid import FieldPair, Grid, apply_laplacian, integrate
 from .potentials import PotentialSet, _node_coord, _shell_mask
 
@@ -81,8 +81,6 @@ def _require_double_critical(spec: ProblemSpec, grid: Grid) -> None:
 
 def _shell_max(fp: FieldPair, grid: Grid) -> float:
     mask = _shell_mask(grid)
-    if not np.any(mask):
-        return 0.0
     return float(max(np.max(np.abs(fp.u[mask])), np.max(np.abs(fp.v[mask]))))
 
 
@@ -100,8 +98,7 @@ def pohozaev_residual(
     the balance.
     """
     _require_double_critical(spec, grid)
-    ps.check_grid(grid)
-    grid.check_conforms(fp.u)
+    _check(fp, ps, grid)
 
     u, v = fp.u, fp.v
     n = 3
@@ -153,8 +150,7 @@ def nonexistence_certificate(
     measures how the contradiction closes.
     """
     _require_double_critical(spec, grid)
-    ps.check_grid(grid)
-    grid.check_conforms(fp.u)
+    _check(fp, ps, grid)
 
     for label, f in (("u", fp.u), ("v", fp.v)):
         worst = np.unravel_index(int(np.argmin(f)), grid.shape)
@@ -204,7 +200,6 @@ def nonexistence_certificate(
 
 def coupling_sign_value(fp: FieldPair, ps: PotentialSet, grid: Grid) -> float:
     """Q(u, v) alone; nonnegative for validated coupling bounds, any pair."""
-    ps.check_grid(grid)
-    grid.check_conforms(fp.u)
+    _check(fp, ps, grid)
     u, v = fp.u, fp.v
     return float(integrate(ps.v1 * u * u + ps.v2 * v * v - 2.0 * ps.lam * u * v, grid))

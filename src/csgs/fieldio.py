@@ -69,7 +69,8 @@ def write_field(fp: FieldPair, path: str | Path) -> None:
 
 
 def read_field(path: str | Path, grid: Grid | None = None) -> FieldPair:
-    """Deserialize a pair, rebuilding the grid from the header if not given."""
+    """Deserialize a pair, rebuilding the grid from the header if not given; the header holds no
+    Laplacian mode, so a periodic fd2 file read without its grid lands on a spectral grid."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise FieldFileError(f"file too short for a header: {len(raw)} bytes")

@@ -130,9 +130,9 @@ def _ray_term(t: float, k: float, c: float, w: float = 1.0) -> float:
 
 
 def _check(fp: FieldPair, ps: PotentialSet, grid: Grid) -> None:
-    grid.check_conforms(fp.u)
-    grid.check_conforms(fp.v)
-    ps.check_grid(grid)
+    """Raise unless the pair and the potentials are both on ``grid``."""
+    grid.check_same(fp.grid)
+    grid.check_same(ps.grid)
 
 
 def _arrays(fp: FieldPair, grid: Grid) -> tuple[np.ndarray, ...]:

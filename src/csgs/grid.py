@@ -147,6 +147,11 @@ class Grid:
             return r
         return None
 
+    def check_same(self, other: "Grid") -> None:
+        """Raise unless ``other`` is this grid or was built from an equal spec."""
+        if other is not self and other.spec != self.spec:
+            raise GridMismatchError(f"grid {other.spec} does not match grid {self.spec}")
+
     def check_conforms(self, f: np.ndarray) -> None:
         if f.shape != self.shape:
             raise GridMismatchError(

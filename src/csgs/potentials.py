@@ -158,10 +158,6 @@ class PotentialSet:
     delta: float
     grid: Grid = field(repr=False)
 
-    def check_grid(self, grid: Grid) -> None:
-        if self.grid is not grid and self.grid.spec != grid.spec:
-            raise GridMismatchError("potential set was sampled on a different grid")
-
     @cached_property
     def radial(self) -> tuple[tuple[np.ndarray, str], ...]:
         """(<grad f, x> at every node, path) for V1, V2 and lambda.
@@ -376,10 +372,13 @@ def validate_assumptions(
     "nonexistence" (sign conditions on the radial derivatives, reporting the
     smallest admissible growth constants).
     Strict inequalities are checked strictly; ties fail with the offending
-    node reported.
+    node reported.  ``tail_tol``, the tail-decay check's tolerance, must be
+    finite and positive (ValueError otherwise).
     """
     if mode not in VALIDATION_MODES:
         raise ValueError(f"unknown validation mode {mode!r}")
+    if not 0.0 < tail_tol < np.inf:
+        raise ValueError(f"tail_tol must be finite and positive, got {tail_tol}")
     grid = ps.grid
     checks: list[AssumptionCheck] = []
     nu1 = nu2 = None
@@ -391,7 +390,7 @@ def validate_assumptions(
         prefix = "V5"
         if reference is None:
             raise ValueError("asymptotic validation requires a periodic reference set")
-        reference.check_grid(grid)
+        grid.check_same(reference.grid)
         checks.append(_check_nonneg("V5:V1>=0", ps.v1, grid))
         checks.append(_check_nonneg("V5:V2>=0", ps.v2, grid))
         name = "V6':coupling" if mode == "asymptotic-strict" else "V6:coupling"

@@ -48,7 +48,8 @@ from .potentials import PotentialSet
 
 INIT_MODES = ("gaussian-bump", "random", "file")
 
-_PROJECTION_ERRORS = (ZeroFieldError, DegenerateNonlinearityError, NonpositiveQuadraticFormError)
+_NO_FIBERING_SCALE = (ZeroFieldError, DegenerateNonlinearityError, NonpositiveQuadraticFormError,
+                      NonFiniteEnergyError)
 _EPS = float(np.finfo(float).eps)
 
 # descent line search: first trial step, backtracking factor, and the
@@ -138,7 +139,7 @@ class ComparisonReport:
 def initial_pair(grid: Grid, opts: SolveOptions, init_field: FieldPair | None = None) -> FieldPair:
     """Starting pair per the configured init mode."""
     if init_field is not None:
-        grid.check_conforms(init_field.u)
+        grid.check_same(init_field.grid)
         return init_field
     if opts.init == "gaussian-bump":
         width = grid.spec.half_width / 4.0
@@ -170,27 +171,6 @@ def _norm(g: np.ndarray, grid: Grid) -> float:
     return math.sqrt(max(_quadrature(g[0] * g[0] + g[1] * g[1], grid), 0.0))
 
 
-def _failed_report(
-    fp: FieldPair, ps: PotentialSet, spec: ProblemSpec, grid: Grid, msg: str
-) -> SolveReport:
-    inv = pair_invariants(fp, ps, spec, grid)
-    e0 = inv.energy_at(1.0, spec)
-    gn = pair_norm_l2(energy_gradient(fp, ps, spec, grid), grid)
-    return SolveReport(
-        field=fp,
-        energy=float(e0),
-        grad_norm=gn,
-        iterations=0,
-        energy_trace=[float(e0)],
-        grad_trace=[gn],
-        converged=False,
-        spec=spec,
-        field_norm_e_sq=float(inv.norm_e_sq),
-        failure=msg,
-        gradient_evals=1,
-    )
-
-
 @np.errstate(over="ignore", invalid="ignore")  # one guard for the whole solve
 def minimize_ground_state(
     ps: PotentialSet,
@@ -208,17 +188,20 @@ def minimize_ground_state(
     does not rise, and the returned energy is within that band of the
     trace's minimum.  The converged flag reports honestly whether the
     gradient tolerance was met; otherwise ``failure`` is "stagnated" (line
-    search gave up) or "budget".  The solve keeps every point and gradient
-    in a block with their Laplacians, so an iteration makes one Laplacian
-    call, on the new gradient's two fields; a caller's ``init_field`` is
-    read, never written.
+    search gave up), "budget", or "initial projection failed: ..." when the
+    start has no fibering scale (zero, degenerate, B <= 0 or non-finite
+    invariants); that report, of 0 iterations, is on the start as given,
+    unscaled, with its energy I(u, v) and gradient.  The solve keeps every
+    point and gradient in a block with their Laplacians, so an iteration
+    makes one Laplacian call, on the new gradient's two fields; a caller's
+    ``init_field`` is read, never written.
     """
     opts = opts or SolveOptions()
     if spec.dim != grid.spec.dim:
         raise GridMismatchError(
             f"problem dim {spec.dim} does not match grid dim {grid.spec.dim}"
         )
-    ps.check_grid(grid)
+    grid.check_same(ps.grid)
 
     start = initial_pair(grid, opts, init_field)
     # the solve's state, allocated once: the current and the trial point, each u, v and
@@ -228,12 +211,15 @@ def minimize_ground_state(
     cur[0], cur[1] = start.u, start.v
     apply_laplacian(cur[:2], grid, out=cur[2:])
     inv = _invariants(*cur, ps, spec, grid, w1, w2)
+    failure = None
     try:
         diag = fibering_scale_from_invariants(inv, spec)
-    except _PROJECTION_ERRORS as exc:
-        return _failed_report(start, ps, spec, grid, f"initial projection failed: {exc}")
-    cur *= diag.t_mu
-    e_cur, norm_e_sq = diag.g_at_t, _norm_e_sq_at(inv, diag.t_mu)
+    except _NO_FIBERING_SCALE as exc:  # no descent: the report is on the start as given
+        failure = f"initial projection failed: {exc}"
+        e_cur, norm_e_sq = inv.energy_at(1.0, spec), inv.norm_e_sq
+    else:
+        cur *= diag.t_mu
+        e_cur, norm_e_sq = diag.g_at_t, _norm_e_sq_at(inv, diag.t_mu)
 
     _gradient(*cur, ps, spec, *grad[:2], w1, w2)
     grad_evals, trials = 1, 0
@@ -245,7 +231,7 @@ def minimize_ground_state(
     step = _STEP0
     bb_flip = False
 
-    for k in range(opts.max_iters):
+    for k in range(opts.max_iters if failure is None else 0):
         if gnorm <= opts.grad_tol:
             break
 
@@ -261,7 +247,7 @@ def minimize_ground_state(
             try:
                 inv = _invariants(*trial, ps, spec, grid, w1, w2)
                 diag = fibering_scale_from_invariants(inv, spec)
-            except (*_PROJECTION_ERRORS, NonFiniteEnergyError):
+            except _NO_FIBERING_SCALE:
                 s *= _BACKTRACK
                 continue
             e_new = diag.g_at_t
@@ -308,7 +294,7 @@ def minimize_ground_state(
             energy_trace.append(float(e_cur))
             grad_trace.append(gnorm)
 
-    converged = opts.max_iters > 0 and gnorm <= opts.grad_tol
+    converged = failure is None and opts.max_iters > 0 and gnorm <= opts.grad_tol
     return SolveReport(
         field=FieldPair(cur[0].copy(), cur[1].copy(), grid),
         energy=float(e_cur),
@@ -319,7 +305,7 @@ def minimize_ground_state(
         converged=converged,
         spec=spec,
         field_norm_e_sq=float(norm_e_sq),
-        failure=None if converged else "stagnated" if stagnated else "budget",
+        failure=None if converged else failure or ("stagnated" if stagnated else "budget"),
         gradient_evals=grad_evals,
         trials=trials,
     )
@@ -562,12 +548,7 @@ def sweep_mu(
         # and keep the lower converged energy
         candidates: list[SolveReport] = []
         for init in ([warm] if warm is not None else []) + [None]:
-            try:
-                candidates.append(minimize_ground_state(ps, spec, grid, opts, init_field=init))
-            except NonFiniteEnergyError as exc:
-                candidates.append(
-                    _failed_report(initial_pair(grid, opts, init), ps, spec, grid, str(exc))
-                )
+            candidates.append(minimize_ground_state(ps, spec, grid, opts, init_field=init))
         good = [r for r in candidates if r.converged]
         rep = min(good, key=lambda r: r.energy) if good else candidates[0]
         reports.append(rep)
@@ -594,8 +575,7 @@ def compare_energies(
     The gap must exceed ``margin`` by a slack of 1e-9 relative to the larger
     energy (absolute below magnitude 1), so rounding noise never passes.
     """
-    if report_periodic.field.grid.spec != report_asym.field.grid.spec:
-        raise GridMismatchError("comparison requires reports from the same grid")
+    report_periodic.field.grid.check_same(report_asym.field.grid)
     if report_periodic.spec != report_asym.spec:
         raise GridMismatchError("comparison requires reports with identical exponents and mu")
     gap = report_periodic.energy - report_asym.energy

@@ -446,6 +446,78 @@ class TestCli:
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("start, mu", [("zero", "1.0"), ("u-only", "0.0"), ("huge", "1.0")])
+    def test_solve_from_a_start_without_a_fibering_scale_exit3(self, tmp_path, grid_1d, start, mu):
+        # the zero pair; u alone at mu = 0; u = v = 1e80 exp(-x^2), whose ||v||_4^4 overflows
+        bump = np.exp(-grid_1d.radius_sq)
+        u, v = {"zero": (0.0 * bump, 0.0 * bump), "u-only": (bump, 0.0 * bump),
+                "huge": (1e80 * bump, 1e80 * bump)}[start]
+        field = tmp_path / "start.csgs"
+        write_field(FieldPair(u, v, grid_1d), field)
+        text = BASE_CFG.replace("mu = 1.0", f"mu = {mu}").replace(
+            "grad_tol = 1e-6", f"grad_tol = 1e-6\ninit = file\ninit_file = {field}")
+        out = tmp_path / "out"
+        assert run_cli(["solve", "--config", self._write(tmp_path, text), "--out", str(out)]) == 3
+        assert len(read_csv_rows(out / "solve_trace.csv")) == 1  # the start, unscaled
+        back = read_field(out / "field.csgs")
+        assert np.array_equal(back.u, u) and np.array_equal(back.v, v)
+
+    def test_sweep_exit0(self, tmp_path):
+        from csgs import sample_potentials, sweep_mu
+
+        text = BASE_CFG + "\n[sweep]\nmu_values = 0.5, 1.0, 2.0\n"
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", self._write(tmp_path, text), "--out", str(out)]) == 0
+        cfg = parse_config(text)
+        grid = build_grid(cfg.grid)
+        ps = sample_potentials(cfg.pot_defs, cfg.delta, grid)
+        sweep = sweep_mu(ps, cfg.problem, grid, cfg.mu_values, cfg.solver)
+        rows = read_csv_rows(out / "sweep.csv")
+        assert [float(r["c"]) for r in rows] == sweep.energies
+        assert all(r["threshold"] == r["below_threshold"] == "" for r in rows)
+
+    def test_sobolev_exit0(self, tmp_path):
+        from csgs import aubin_talenti_bubble, estimate_sobolev_constant, sobolev_quotient
+        from csgs.solver import compactness_threshold
+
+        text = MODEL_PAIR_CFG.replace("half_width = 2.0\npoints_per_dim = 8",
+                                      "half_width = 4.0\npoints_per_dim = 16")
+        out = tmp_path / "out"
+        assert run_cli(["sobolev", "--config", self._write(tmp_path, text), "--out", str(out)]) == 0
+        grid = build_grid(GridSpec(3, 4.0, 16))
+        estimate = estimate_sobolev_constant(grid)
+        rows = {r["quantity"]: float(r["value"]) for r in read_csv_rows(out / "sobolev.csv")}
+        assert rows == {
+            "sobolev_constant": estimate,
+            "bubble_quotient": sobolev_quotient(aubin_talenti_bubble(grid), grid),
+            "energy_threshold": compactness_threshold(estimate, 3),
+        }
+
+    def test_pohozaev_of_the_bubble_exit0(self, tmp_path, grid_3d_small):
+        from csgs import aubin_talenti_bubble, pohozaev_residual, sample_potentials
+
+        text = MODEL_PAIR_CFG + "\n[pohozaev]\nbubble = true\n"
+        cfg = parse_config(text)
+        out = tmp_path / "out"
+        assert run_cli(["pohozaev", "--config", self._write(tmp_path, text), "--out", str(out)]) == 0
+        ps = sample_potentials(cfg.pot_defs, cfg.delta, grid_3d_small)
+        fp = FieldPair(np.zeros(grid_3d_small.shape), aubin_talenti_bubble(grid_3d_small),
+                       grid_3d_small)
+        rows = {r["quantity"]: r["value"] for r in read_csv_rows(out / "pohozaev.csv")}
+        assert float(rows["lhs"]) == pohozaev_residual(fp, ps, cfg.problem, grid_3d_small).lhs
+
+    def test_convergence_error_exit3(self, tmp_path, capsys, monkeypatch):
+        import csgs.cli
+        from csgs.errors import ConvergenceError
+
+        def stalled(grid):
+            raise ConvergenceError("Sobolev polish still descending")
+
+        monkeypatch.setattr(csgs.cli, "estimate_sobolev_constant", stalled)
+        cfg = self._write(tmp_path, MODEL_PAIR_CFG)
+        assert run_cli(["sobolev", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "error: Sobolev polish still descending\n"
+
     def test_sweep_without_list_exit1(self, tmp_path, capsys):
         cfg = self._write(tmp_path, BASE_CFG)
         code = run_cli(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])

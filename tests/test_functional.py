@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +11,20 @@ from csgs import (
     ProblemSpec,
     SolveOptions,
     build_grid,
+    compare_energies,
+    coupling_sign_value,
     energy,
     energy_gradient,
+    minimize_ground_state,
     nehari_value,
+    nonexistence_certificate,
     pair_invariants,
+    pohozaev_residual,
     quadratic_form,
     sample_potentials,
     validate_assumptions,
 )
-from csgs.errors import NonFiniteEnergyError
+from csgs.errors import GridMismatchError, NonFiniteEnergyError
 from csgs.functional import odd_power, pair_inner, pair_norm_e_sq
 from csgs.grid import apply_laplacian
 from csgs.nehari import nehari_project
@@ -261,3 +267,56 @@ class TestNehariValue:
             assert total == pytest.approx(identity, rel=1e-10)
             # energy level bounded below by the coercive norm
             assert total >= (0.5 - 1.0 / spec.p) * (1.0 - ps.delta) * inv.norm_e_sq - 1e-9
+
+
+def _wrong_grid_case(dim):
+    """A positive pair on a spectral grid, and potentials on an fd2 grid of another width
+    with the same node count, so that every array has the shape the other grid expects."""
+    from types import SimpleNamespace
+
+    from csgs import SolveReport
+
+    half_width, n = (4.0, 64) if dim == 1 else (2.0, 8)
+    g_pair = build_grid(GridSpec(dim, half_width, n))
+    g = build_grid(GridSpec(dim, half_width + 2.0, n, "periodic", "fd2"))
+    bump = np.exp(-g_pair.radius_sq)
+    fp = FieldPair(bump, 0.5 * bump + 0.1, g_pair)
+    defs = (CONST(1.0), CONST(1.0), CONST(0.3))
+    spec = ProblemSpec(dim, 6.0, 6.0, 1.0) if dim == 3 else ProblemSpec(dim, 4.0, 4.0, 1.0)
+    report = SolveReport(fp, 1.0, 0.0, 0, [1.0], [0.0], True, spec, 1.0)
+    return SimpleNamespace(fp=fp, ps=sample_potentials(defs, 0.3, g), spec=spec, g=g,
+                           pair_set=sample_potentials(defs, 0.3, g_pair), report=report)
+
+
+class TestOneGridRule:
+    """Every entry point refuses a pair or a set sampled on a grid built from another spec."""
+
+    @pytest.mark.parametrize(
+        "dim, call",
+        [
+            (1, lambda c: pair_invariants(c.fp, c.ps, c.spec, c.g)),
+            (1, lambda c: pair_invariants(c.fp, c.pair_set, c.spec, c.g)),
+            (1, lambda c: energy_gradient(c.fp, c.ps, c.spec, c.g)),
+            (1, lambda c: minimize_ground_state(c.ps, c.spec, c.g, SolveOptions(max_iters=3),
+                                                init_field=c.fp)),
+            (1, lambda c: validate_assumptions(c.ps, "asymptotic", reference=c.pair_set)),
+            (1, lambda c: compare_energies(
+                c.report, replace(c.report, field=FieldPair(c.fp.u, c.fp.v, c.g)))),
+            (3, lambda c: coupling_sign_value(c.fp, c.ps, c.g)),
+            (3, lambda c: pohozaev_residual(c.fp, c.ps, c.spec, c.g)),
+            (3, lambda c: nonexistence_certificate(c.fp, c.ps, c.spec, c.g)),
+        ],
+        ids=["pair_invariants", "potentials", "energy_gradient", "minimize_ground_state",
+             "validate_assumptions", "compare_energies", "coupling_sign_value",
+             "pohozaev_residual", "nonexistence_certificate"],
+    )
+    def test_other_grid_rejected(self, dim, call):
+        with pytest.raises(GridMismatchError):
+            call(_wrong_grid_case(dim))
+
+    def test_grid_from_an_equal_spec_accepted(self, unit_setup):
+        g, ps, spec, ones = unit_setup
+        twin = build_grid(g.spec)
+        assert twin is not g
+        moved = FieldPair(ones.u, ones.v, twin)
+        assert pair_invariants(moved, ps, spec, g) == pair_invariants(ones, ps, spec, g)

@@ -200,6 +200,20 @@ class TestAsymptoticValidation:
         ref, asym = asym_pair(grid_1d)
         assert validate_assumptions(asym, "asymptotic-strict", reference=ref).overall
 
+    def test_tail_tolerance_must_be_finite_and_positive(self, grid_1d):
+        # a wide well: the shell gap 0.5 exp(-(3.2/3)^2) = 0.16 fails the default 1e-2
+        ref = sample_potentials((CONST(2.0), CONST(2.0), CONST(0.4)), 0.5, grid_1d)
+        wide = sample_potentials(
+            (PotentialDef.gaussian(2.0, -0.5, 3.0), PotentialDef.gaussian(2.0, -0.5, 3.0),
+             CONST(0.4)),
+            0.5,
+            grid_1d,
+        )
+        assert not validate_assumptions(wide, "asymptotic", reference=ref).find("V4:tail-decay").passed
+        for bad in (math.inf, math.nan, 0.0, -1e-2):
+            with pytest.raises(ValueError, match="tail_tol"):
+                validate_assumptions(wide, "asymptotic", reference=ref, tail_tol=bad)
+
 
 class TestNonexistenceValidation:
     def test_model_pair_passes_with_constants(self, grid_3d_small):
@@ -222,6 +236,16 @@ class TestNonexistenceValidation:
         assert rep.overall
         assert rep.find("V7:V1").worst_value == pytest.approx(2.0, abs=1e-6)
         assert "finite-difference" in rep.find("V7:V1").note
+
+    def test_cosine_lattice_radial_derivative_matches_finite_differences(self):
+        # the fd path's error is (h/2)^4 |x| (2 pi)^5 b / 30, 3e-8 at h = 1/128
+        g = build_grid(GridSpec(1, 1.0, 256))
+        lattice = PotentialDef.cosine_lattice(2.0, 0.5)
+        same = PotentialDef.from_callback(lambda c: 2.0 + 0.5 * np.cos(2.0 * np.pi * c[0]))
+        analytic, path = lattice.radial_derivative(g.coords, g.spacing)
+        fd, fd_path = same.radial_derivative(g.coords, g.spacing)
+        assert (path, fd_path) == ("analytic", "finite-difference")
+        assert np.max(np.abs(analytic - fd)) <= 1e-6
 
     def test_growing_coupling_fails_sign(self, grid_3d_small):
         ps = sample_potentials(

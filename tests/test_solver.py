@@ -122,6 +122,15 @@ class TestMinimize:
         assert not rep.converged
         assert rep.failure is not None and "projection" in rep.failure
 
+    def test_nonpositive_form_start_reports_failure(self):
+        # unvalidated wells: B < 0 for a smooth start, so it has no fibering scale
+        g = build_grid(GridSpec(1, 4.0, 64))
+        ps = sample_potentials((CONST(-5.0), CONST(-5.0), CONST(0.3)), 0.3, g)
+        rep = minimize_ground_state(ps, ProblemSpec(1, 4.0, 4.0, 1.0), g, QUICK)
+        assert not rep.converged and rep.iterations == 0
+        assert rep.failure.startswith("initial projection failed: quadratic form B")
+        assert rep.energy < 0 and rep.energy_trace == [rep.energy]
+
     def test_dim_mismatch_rejected(self, setup_1d):
         g, ps, _ = setup_1d
         with pytest.raises(GridMismatchError):
@@ -341,24 +350,22 @@ class TestSweep:
         from csgs.errors import NonFiniteEnergyError
 
         g, ps, spec = setup_1d
-        inner = csgs.solver.minimize_ground_state
-        starts = []
+        inner = csgs.solver.fibering_scale_from_invariants
 
-        def failing_at_mu_2(ps, spec, grid, opts=None, init_field=None):
-            starts.append(init_field)
+        def failing_at_mu_2(inv, spec):
             if spec.mu == 2.0:
                 raise NonFiniteEnergyError("trial energy is not finite")
-            return inner(ps, spec, grid, opts, init_field=init_field)
+            return inner(inv, spec)
 
-        monkeypatch.setattr(csgs.solver, "minimize_ground_state", failing_at_mu_2)
+        monkeypatch.setattr(csgs.solver, "fibering_scale_from_invariants", failing_at_mu_2)
         sw = sweep_mu(ps, spec, g, [1.0, 2.0], QUICK)
         assert sw.converged == [True, False]
         # the warm solve at mu = 2 starts from the mu = 1 field and is listed first
         warm = sw.reports[0].field
-        assert starts[1] is warm
         rep = sw.reports[1]
-        assert rep.failure == "trial energy is not finite"
-        assert rep.field is warm
+        assert rep.failure == "initial projection failed: trial energy is not finite"
+        assert rep.iterations == 0
+        assert np.array_equal(rep.field.u, warm.u) and np.array_equal(rep.field.v, warm.v)
 
     def test_empty_list_rejected(self, setup_1d):
         g, ps, spec = setup_1d
@@ -569,6 +576,28 @@ class TestWorkspaceDescent:
         # one root for the start, then one per trial point
         assert rep.trials == len(roots) - 1 > rep.iterations
 
+    def test_line_search_backtracks_on_a_trial_it_cannot_project(self, monkeypatch):
+        import csgs.solver
+        from csgs.errors import NonpositiveQuadraticFormError
+
+        ps, spec, g = _pinned_case(GridSpec(1, 4.0, 128), 0.3, ProblemSpec(1, 4.0, 4.0, 1.0))
+        opts = SolveOptions(init="random", seed=3)
+        plain = minimize_ground_state(ps, spec, g, opts)
+        roots = []
+        inner = csgs.solver.fibering_scale_from_invariants
+
+        def first_trial_fails(inv, spec):
+            roots.append(1)
+            if len(roots) == 2:  # the start's root, then the first trial's
+                raise NonpositiveQuadraticFormError("B = 0")
+            return inner(inv, spec)
+
+        monkeypatch.setattr(csgs.solver, "fibering_scale_from_invariants", first_trial_fails)
+        rep = minimize_ground_state(ps, spec, g, opts)
+        assert rep.converged and rep.failure is None
+        assert abs(rep.energy - plain.energy) <= 1e-9 * abs(plain.energy)
+        assert rep.trials == len(roots) - 1  # the rejected trial is counted
+
     def test_projections_take_few_root_iterations(self, monkeypatch):
         import csgs.solver
 
@@ -590,15 +619,17 @@ class TestWorkspaceDescent:
         import warnings
 
         import csgs.solver
-        from csgs.errors import NonFiniteEnergyError
         from csgs.solver import initial_pair
 
         ps, spec, g = _pinned_case(GridSpec(3, 2.0, 8), 0.9, ProblemSpec(3, 4.0, 6.0, 4.0))
         start = initial_pair(g, SolveOptions())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteEnergyError):
-                minimize_ground_state(ps, spec, g, init_field=start.scaled(1e55))
+            # ||v||_6^6 overflows: no fibering scale, so the report is on the start as given
+            rep = minimize_ground_state(ps, spec, g, init_field=start.scaled(1e55))
+            assert rep.failure.startswith("initial projection failed: the invariants")
+            assert "not all finite" in rep.failure
+            assert not rep.converged and rep.iterations == 0 and rep.energy == -np.inf
             assert minimize_ground_state(ps, spec, g, init_field=start.scaled(1e40)).converged
 
         # the trial kernels carry no guard of their own: the solve's covers them
