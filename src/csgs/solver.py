@@ -12,7 +12,7 @@ loop runs the solve to tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -24,15 +24,7 @@ from .errors import (
     NonpositiveQuadraticFormError,
     ZeroFieldError,
 )
-from .functional import (
-    PairInvariants,
-    ProblemSpec,
-    _gradient,
-    _invariants,
-    energy_gradient,
-    pair_invariants,
-    pair_norm_l2,
-)
+from .functional import PairInvariants, ProblemSpec, _gradient, _invariants
 from .grid import (
     FieldPair,
     Grid,
@@ -48,7 +40,7 @@ from .potentials import PotentialSet
 
 INIT_MODES = ("gaussian-bump", "random", "file")
 
-_NO_FIBERING_SCALE = (ZeroFieldError, DegenerateNonlinearityError, NonpositiveQuadraticFormError,
+_NO_FIBERING_SCALE = (DegenerateNonlinearityError, NonpositiveQuadraticFormError,
                       NonFiniteEnergyError)
 _EPS = float(np.finfo(float).eps)
 
@@ -155,12 +147,6 @@ def initial_pair(grid: Grid, opts: SolveOptions, init_field: FieldPair | None = 
     raise ValueError("init mode 'file' requires an explicit init_field")
 
 
-def _project(fp: FieldPair, inv: PairInvariants, spec: ProblemSpec):
-    """Scale onto the manifold: the scaled pair, its ||.||_E^2 and its energy."""
-    diag = fibering_scale_from_invariants(inv, spec)
-    return fp.scaled(diag.t_mu), _norm_e_sq_at(inv, diag.t_mu), diag.g_at_t
-
-
 def _norm_e_sq_at(inv: PairInvariants, t: float) -> float:
     """||(t u, t v)||_E^2 from the invariants of (u, v)."""
     return t * t * inv.quad + t * t * inv.coupling
@@ -187,14 +173,14 @@ def minimize_ground_state(
     lowest recorded energy) counts as an iteration but is traced only if it
     does not rise, and the returned energy is within that band of the
     trace's minimum.  The converged flag reports honestly whether the
-    gradient tolerance was met; otherwise ``failure`` is "stagnated" (line
-    search gave up), "budget", or "initial projection failed: ..." when the
-    start has no fibering scale (zero, degenerate, B <= 0 or non-finite
-    invariants); that report, of 0 iterations, is on the start as given,
-    unscaled, with its energy I(u, v) and gradient.  The solve keeps every
-    point and gradient in a block with their Laplacians, so an iteration
-    makes one Laplacian call, on the new gradient's two fields; a caller's
-    ``init_field`` is read, never written.
+    gradient tolerance was met, with a zero budget too; otherwise
+    ``failure`` is "stagnated" (line search gave up), "budget", or "initial
+    projection failed: ..." when the start has no fibering scale (zero,
+    degenerate, B <= 0 or non-finite invariants); that report, of 0
+    iterations, is on the start as given, unscaled, with its energy I(u, v)
+    and gradient.  The solve keeps every point and gradient in a block with
+    their Laplacians, so an iteration makes one Laplacian call, on the new
+    gradient's two fields; a caller's ``init_field`` is read, never written.
     """
     opts = opts or SolveOptions()
     if spec.dim != grid.spec.dim:
@@ -294,7 +280,7 @@ def minimize_ground_state(
             energy_trace.append(float(e_cur))
             grad_trace.append(gnorm)
 
-    converged = failure is None and opts.max_iters > 0 and gnorm <= opts.grad_tol
+    converged = failure is None and gnorm <= opts.grad_tol
     return SolveReport(
         field=FieldPair(cur[0].copy(), cur[1].copy(), grid),
         energy=float(e_cur),
@@ -311,6 +297,11 @@ def minimize_ground_state(
     )
 
 
+# nonneg_refine's two solves: the polish, and the projection a zero-iteration solve makes
+_POLISH = SolveOptions(max_iters=500, init="file")
+_PROJECTION = SolveOptions(max_iters=0, init="file")
+
+
 def nonneg_refine(
     report: SolveReport,
     ps: PotentialSet,
@@ -319,34 +310,25 @@ def nonneg_refine(
 ) -> SolveReport:
     """Replace the minimizer by its nonnegative representative and repolish.
 
-    Projects (|u|, |v|) back onto the manifold; when the coupling is
-    nonnegative this cannot raise the energy (the pointwise inequality
-    survives nonnegative quadrature weights).  A gradient run of at most
-    500 iterations then polishes the result, and a final magnitude
-    projection guarantees nodewise nonnegative output.
+    Two solves: a polish of at most 500 iterations from (|u|, |v|), which it
+    projects onto the manifold (with nonnegative coupling this cannot raise
+    the energy: the pointwise inequality survives nonnegative quadrature
+    weights), then a zero-iteration solve, whose projection of the polished
+    magnitudes is nodewise nonnegative.  The report is the projection's with
+    the polish's iterations, trials, ``converged`` and ``failure``, joined
+    traces and summed gradient counts; a start failure passes through.
     """
-    nn = report.field.magnitudes()
-    nn_p = _project(nn, pair_invariants(nn, ps, spec, grid), spec)[0]
-
-    polish_opts = SolveOptions(max_iters=500, init="file")
-    polished = minimize_ground_state(ps, spec, grid, polish_opts, init_field=nn_p)
-
-    final = polished.field.magnitudes()
-    final_p, norm_e_sq, e_final = _project(final, pair_invariants(final, ps, spec, grid), spec)
-    gn = pair_norm_l2(energy_gradient(final_p, ps, spec, grid), grid)
-
-    return SolveReport(
-        field=final_p,
-        energy=float(e_final),
-        grad_norm=gn,
+    polished = minimize_ground_state(ps, spec, grid, _POLISH, init_field=report.field.magnitudes())
+    final = minimize_ground_state(ps, spec, grid, _PROJECTION,
+                                  init_field=polished.field.magnitudes())
+    return replace(
+        final,
         iterations=polished.iterations,
-        energy_trace=polished.energy_trace + [float(e_final)],
-        grad_trace=polished.grad_trace + [gn],
+        energy_trace=polished.energy_trace + final.energy_trace,
+        grad_trace=polished.grad_trace + final.grad_trace,
         converged=polished.converged,
-        spec=polished.spec,
-        field_norm_e_sq=float(norm_e_sq),
         failure=polished.failure,
-        gradient_evals=polished.gradient_evals + 1,
+        gradient_evals=polished.gradient_evals + final.gradient_evals,
         trials=polished.trials,
     )
 
@@ -500,7 +482,9 @@ def estimate_sobolev_constant(grid: Grid, *, search_radius: float = 0.01) -> flo
 
 
 def compactness_threshold(sobolev_constant: float, dim: int) -> float:
-    """The energy level S^(d/2)/d below which a critical-q minimizer is compact."""
+    """The level S^(d/2)/d below which a critical-q minimizer is compact; S > 0 finite."""
+    if not 0.0 < sobolev_constant < math.inf:
+        raise ValueError(f"the Sobolev constant must be finite and positive, got {sobolev_constant}")
     return sobolev_constant ** (dim / 2.0) / dim
 
 
@@ -520,8 +504,9 @@ def sweep_mu(
     """One ground-state solve per mu, warm-started along the schedule.
 
     In the critical-q regime the compactness threshold S^(d/2)/d is attached
-    (S estimated on this grid unless supplied), and the first mu whose
-    energy falls below it is reported.
+    (S estimated on this grid unless supplied; a supplied S that is not
+    finite and positive raises ValueError before any solve), and the first
+    mu whose energy falls below it is reported.
     """
     if len(mu_values) == 0:
         raise ValueError("mu_values must be non-empty")
@@ -573,8 +558,12 @@ def compare_energies(
     """Check that the asymptotic ground level sits strictly below the periodic one.
 
     The gap must exceed ``margin`` by a slack of 1e-9 relative to the larger
-    energy (absolute below magnitude 1), so rounding noise never passes.
+    energy (absolute below magnitude 1), so rounding noise never passes; a
+    margin that is negative or not finite would loosen that and raises
+    ValueError.
     """
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"the margin must be finite and nonnegative, got {margin}")
     report_periodic.field.grid.check_same(report_asym.field.grid)
     if report_periodic.spec != report_asym.spec:
         raise GridMismatchError("comparison requires reports with identical exponents and mu")

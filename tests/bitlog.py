@@ -7,15 +7,18 @@ exists for a test path when it picks its root directory, and a log file outside
 the checkout then prefixes every test id with the checkout's name.)
 
 While the suite runs, every result of ``minimize_ground_state``,
-``estimate_sobolev_constant`` and ``pohozaev_residual`` is recorded as one JSON
-line: the test that produced it, the call's index within that test,
-``float.hex`` of the energy and the gradient norm, the iteration count and the
-flags of a solve, of the estimate, or of ``lhs``, ``rhs`` and ``grad_norm`` of a
-Pohozaev balance.  Every ``validate_assumptions`` report is recorded too: its
+``nonneg_refine``, ``estimate_sobolev_constant`` and ``pohozaev_residual`` is
+recorded as one JSON line: the test that produced it, the call's index within
+that test, ``float.hex`` of the energy and the gradient norm, the iteration count
+and the flags of a solve or a refine, of the estimate, or of ``lhs``, ``rhs`` and
+``grad_norm`` of a Pohozaev balance.  Every ``validate_assumptions`` report is recorded too: its
 mode and, per check, the name, ``passed``, ``float.hex`` of the worst value, the
 node and the note.  Validations are indexed apart from the other results, so a
 change that validates more or less often leaves the results' indices alone.
-A call that raises records the exception's type.
+A call that raises records the exception's type.  Only outermost calls are
+recorded: a wrapped call made inside another wrapped call (the solves of a
+``nonneg_refine``) is neither logged nor indexed, so a change to how a refine
+reaches its result leaves the log's records as they are.
 Two logs of the same suite, run on two versions of the code, are identical
 exactly when every result kept every bit, so ``diff`` compares them.  A change
 that moves results by rounding is compared within a tolerance instead:
@@ -42,15 +45,16 @@ import os
 import sys
 
 _WRAPPED = {
-    "csgs.solver": ("minimize_ground_state", "estimate_sobolev_constant"),
+    "csgs.solver": ("minimize_ground_state", "nonneg_refine", "estimate_sobolev_constant"),
     "csgs.diagnostics": ("pohozaev_residual",),
     "csgs.potentials": ("validate_assumptions",),
 }
 FLOATS = ("energy", "grad_norm", "estimate", "lhs", "rhs")
 FLAGS = ("converged", "failure", "raised")
 # a solve's gradient norm is the residual it stopped at, below its tolerance exactly when
-# ``converged`` says so; a results change moves it freely, so ``rtol`` does not bound it
-RESIDUALS = {("minimize_ground_state", "grad_norm")}
+# ``converged`` says so, and a refine's is its final projection's; a results change moves
+# both freely, so ``rtol`` does not bound them
+RESIDUALS = {("minimize_ground_state", "grad_norm"), ("nonneg_refine", "grad_norm")}
 
 
 def pytest_addoption(parser):
@@ -90,20 +94,26 @@ class BitLog:
         self.records = []
         self.calls = {}
         self.originals = {}
+        self.depth = 0  # wrapped calls in progress; only the outermost is logged
 
     def _wrap(self, name, fn):
         @functools.wraps(fn)
         def logged(*args, **kwargs):
+            if self.depth:
+                return fn(*args, **kwargs)
             test = os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" (", 1)[0]
             counter = (test, name == "validate_assumptions")
             index = self.calls[counter] = self.calls.get(counter, -1) + 1
             record = {"test": test, "call": index, "fn": name}
+            self.depth += 1
             try:
                 result = fn(*args, **kwargs)
             except Exception as exc:
                 record["raised"] = type(exc).__name__
                 self.records.append(record)
                 raise
+            finally:
+                self.depth -= 1
             record.update(_describe(name, result))
             self.records.append(record)
             return result

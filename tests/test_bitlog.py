@@ -17,7 +17,7 @@ import numpy as np
 from csgs import (FieldPair, GridSpec, PotentialDef, ProblemSpec, SolveOptions, build_grid,
                   sample_potentials, validate_assumptions)
 from csgs.diagnostics import pohozaev_residual
-from csgs.solver import minimize_ground_state
+from csgs.solver import minimize_ground_state, nonneg_refine
 
 def test_solve():
     g = build_grid(GridSpec(1, 4.0, 32))
@@ -27,6 +27,14 @@ def test_solve():
     print("WORST", *(float(c.worst_value).hex() for c in val.checks))
     rep = minimize_ground_state(ps, ProblemSpec(1, 4.0, 4.0, 1.0), g, SolveOptions(max_iters=5))
     print("ENERGY", rep.energy.hex())
+
+def test_refine():
+    g = build_grid(GridSpec(1, 4.0, 32))
+    C = PotentialDef.constant
+    ps = sample_potentials((C(1.0), C(1.0), C(0.3)), 0.3, g)
+    spec = ProblemSpec(1, 4.0, 4.0, 1.0)
+    rep = nonneg_refine(minimize_ground_state(ps, spec, g, SolveOptions(max_iters=5)), ps, spec, g)
+    print("REFINE", rep.energy.hex(), rep.iterations)
 
 def test_pohozaev():
     g = build_grid(GridSpec(3, 4.0, 8))
@@ -55,8 +63,14 @@ def test_records_each_solve_bit_for_bit(tmp_path):
     energy = run.stdout.split("ENERGY ", 1)[1].split()[0]
     balance = run.stdout.split("POHOZAEV ", 1)[1].split()[:3]
     worst = run.stdout.split("WORST ", 1)[1].split()[:4]
-    balanced, record, validated = [json.loads(line)
-                                   for line in log.read_text(encoding="utf-8").splitlines()]
+    refined, refine_iterations = run.stdout.split("REFINE ", 1)[1].split()[:2]
+    balanced, solved, refine, record, validated = [
+        json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    # a refine is one record: the two solves it makes inside are neither logged nor indexed
+    assert [(r["test"], r["call"], r["fn"]) for r in (solved, refine)] == [
+        ("test_case.py::test_refine", 0, "minimize_ground_state"),
+        ("test_case.py::test_refine", 1, "nonneg_refine")]
+    assert refine["energy"] == refined and refine["iterations"] == int(refine_iterations)
     assert record["test"] == "test_case.py::test_solve"
     assert record["fn"] == "minimize_ground_state"
     assert record["energy"] == energy

@@ -626,6 +626,42 @@ class TestCli:
         assert err.startswith("error:") and "[grid]" in err
         assert not (tmp_path / "out" / "field.csgs").exists()
 
+    @pytest.mark.parametrize("command, text, code, says", [
+        ("validate", BASE_CFG.replace("points_per_dim = 64", "points_per_dim = 6.5"), 1,
+         "points_per_dim must be an integer"),
+        ("pohozaev", MODEL_PAIR_CFG + "\n[pohozaev]\nbubble = maybe\n", 1,
+         "bubble must be a boolean"),
+        ("validate", BASE_CFG.replace("kind = constant", "kind = banana", 1), 1,
+         "v1.kind must be one of"),
+        ("validate", BASE_CFG.replace("kind = constant\nvalue = 1.0",
+                                      "kind = gaussian\nbase = 1.0\namp = 0.5\nsigma = 0", 1), 1,
+         "width must be positive"),
+        ("validate", BASE_CFG.replace("[grid]", "[grid", 1), 1, "config syntax error"),
+        ("validate", BASE_CFG.replace("mode = periodic", "mode = periodic\ntail_tol = -1"), 1,
+         "tail_tol must be positive"),
+        ("sweep", BASE_CFG + "\n[sweep]\nmu_values = -1, 1\n", 1,
+         "mu_values must be nonnegative"),
+        ("pohozaev", MODEL_PAIR_CFG + "\n[pohozaev]\nbubble = true\nbubble_scale = 0\n", 1,
+         "bubble_scale must be positive"),
+        ("pohozaev", MODEL_PAIR_CFG + "\n[pohozaev]\nbubble = false\n", 1,
+         "pohozaev section needs"),
+        ("pohozaev", MODEL_PAIR_CFG, 1, "pohozaev command needs"),
+        ("validate", BASE_CFG.replace("mode = periodic", "mode = asymptotic"), 1,
+         "requires [reference.*] sections"),
+        ("sobolev", BASE_CFG, 1, "requires d = 3"),  # the generic CsgsError exit
+        ("compare", ASYM_CFG + "[solver]\nmax_iters = 1\n", 3, "iters=1 [budget]"),
+        ("pohozaev", MODEL_PAIR_CFG.replace("coeff = 0.5", "coeff = -0.5", 1)
+         + "\n[pohozaev]\nbubble = true\n", 2, "[FAIL] V7:V1"),
+    ], ids=["non-integer-points", "bad-boolean", "unknown-kind", "zero-sigma", "syntax-error",
+            "negative-tail-tol", "negative-mu", "zero-bubble-scale", "pohozaev-without-source",
+            "pohozaev-without-section", "asymptotic-without-reference", "sobolev-in-1d",
+            "compare-not-converged", "pohozaev-fails-v7"])
+    def test_config_and_command_exits(self, tmp_path, capsys, command, text, code, says):
+        cfg = self._write(tmp_path, text)
+        assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == code
+        out, err = capsys.readouterr()
+        assert says in (err if code == 1 else out)
+
     def test_missing_config_exit1(self, tmp_path):
         code = run_cli(["solve", "--config", str(tmp_path / "nope.cfg")])
         assert code == 1

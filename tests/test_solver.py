@@ -86,6 +86,16 @@ class TestMinimize:
         assert abs(nehari_value(rep.field, ps, spec, g)) <= 1e-8
         assert rep.failure == "budget"
 
+    def test_zero_budget_from_a_converged_start_converges(self, setup_1d):
+        g, ps, spec = setup_1d
+        start = minimize_ground_state(ps, spec, g, QUICK)
+        assert start.converged
+        for budget in (0, 1):
+            rep = minimize_ground_state(ps, spec, g, SolveOptions(max_iters=budget, init="file"),
+                                        init_field=start.field)
+            assert rep.converged and rep.failure is None and rep.iterations == 0
+            assert rep.grad_norm <= QUICK.grad_tol
+
     def test_stalled_line_search_reports_stagnated(self):
         g = build_grid(GridSpec(1, 4.0, 128, "periodic", "fd2"))
         ps = sample_potentials((CONST(1.0), CONST(1.0), CONST(0.3)), 0.3, g)
@@ -248,6 +258,35 @@ class TestNonnegRefine:
         ref = nonneg_refine(flipped, ps, spec, g)
         assert abs(ref.energy - rep.energy) <= 1e-10 * max(1.0, abs(rep.energy))
 
+    def test_a_polish_then_a_zero_iteration_projection(self, setup_1d):
+        g, ps, spec = setup_1d
+        rep = minimize_ground_state(ps, spec, g, SolveOptions(max_iters=20))
+        ref = nonneg_refine(rep, ps, spec, g)
+        polished = minimize_ground_state(ps, spec, g, SolveOptions(max_iters=500, init="file"),
+                                         init_field=rep.field.magnitudes())
+        final = minimize_ground_state(ps, spec, g, SolveOptions(max_iters=0, init="file"),
+                                      init_field=polished.field.magnitudes())
+        assert np.array_equal(ref.field.u, final.field.u)
+        assert np.array_equal(ref.field.v, final.field.v)
+        assert (ref.energy, ref.grad_norm, ref.field_norm_e_sq) == (
+            final.energy, final.grad_norm, final.field_norm_e_sq)
+        assert (ref.iterations, ref.trials, ref.converged, ref.failure) == (
+            polished.iterations, polished.trials, polished.converged, polished.failure)
+        assert ref.energy_trace == polished.energy_trace + [final.energy]
+        assert ref.grad_trace == polished.grad_trace + [final.grad_norm]
+        assert ref.gradient_evals == polished.gradient_evals + 1
+
+    @pytest.mark.parametrize("amplitude", [0.0, 1e80], ids=["zero", "huge"])
+    def test_start_failure_passes_through(self, setup_1d, amplitude):
+        # the zero start is degenerate, the huge one has invariants that are not finite
+        g, ps, spec = setup_1d
+        bump = amplitude * np.exp(-g.radius_sq)
+        start = minimize_ground_state(ps, spec, g, QUICK, init_field=FieldPair(bump, bump, g))
+        assert start.failure.startswith("initial projection failed: ")
+        ref = nonneg_refine(start, ps, spec, g)
+        assert not ref.converged and ref.iterations == 0
+        assert ref.failure == start.failure
+
     def test_mixed_sign_improves_with_positive_coupling(self, setup_1d):
         g, ps, spec = setup_1d
         rep = minimize_ground_state(ps, spec, g, QUICK)
@@ -367,6 +406,33 @@ class TestSweep:
         assert rep.iterations == 0
         assert np.array_equal(rep.field.u, warm.u) and np.array_equal(rep.field.v, warm.v)
 
+    @pytest.mark.parametrize("s_const", [-1.0, np.nan, 0.0])
+    def test_bad_sobolev_constant_rejected_before_any_solve(self, s_const, monkeypatch):
+        import csgs.solver
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(csgs.solver, "minimize_ground_state", no_solve)
+        g = build_grid(GridSpec(3, 4.0, 8))
+        ps = sample_potentials((CONST(1.0), CONST(1.0), CONST(0.3)), 0.3, g)
+        with pytest.raises(ValueError, match="Sobolev constant"):
+            sweep_mu(ps, ProblemSpec(3, 4.0, 6.0, 1.0), g, [1.0], sobolev_constant=s_const)
+
+    def test_supplied_sobolev_constant_sets_the_threshold(self):
+        from csgs.solver import compactness_threshold
+
+        g = build_grid(GridSpec(3, 4.0, 8))
+        ps = sample_potentials((CONST(1.0), CONST(1.0), CONST(0.3)), 0.3, g)
+        sw = sweep_mu(ps, ProblemSpec(3, 4.0, 6.0, 1.0), g, [1.0, 16.0], QUICK,
+                      sobolev_constant=4.0)
+        assert sw.threshold == compactness_threshold(4.0, 3) == 8.0 / 3.0
+        assert all(sw.converged)
+        # c(1) = 7.30 lies above the threshold 8/3, c(16) = 0.92 below it
+        assert sw.energies[0] > sw.threshold > sw.energies[1]
+        assert sw.mu0_estimate == 16.0
+        assert [r[2:] for r in sw.rows()[1:]] == [(8.0 / 3.0, False), (8.0 / 3.0, True)]
+
     def test_empty_list_rejected(self, setup_1d):
         g, ps, spec = setup_1d
         with pytest.raises(ValueError, match="non-empty"):
@@ -424,6 +490,14 @@ class TestCompare:
         assert near.gap > 1e-9 and not near.passed
         far = compare_energies(replace(r_per, energy=1e4 + 1e-4), replace(r_asym, energy=1e4))
         assert far.passed
+
+    @pytest.mark.parametrize("margin", [-1.0, -np.inf, np.inf, np.nan])
+    def test_loosening_margin_rejected(self, pair_reports, margin):
+        # the asymptotic level 0.5 above the periodic one must never pass
+        r_per, r_asym = pair_reports
+        above = replace(r_asym, energy=r_per.energy + 0.5)
+        with pytest.raises(ValueError, match="margin"):
+            compare_energies(r_per, above, margin=margin)
 
     def test_grid_mismatch_rejected(self, pair_reports):
         r_per, _ = pair_reports
